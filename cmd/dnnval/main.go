@@ -477,6 +477,29 @@ func runAttackCampaign(network *nn.Network, f attackCampaignFlags) error {
 	return nil
 }
 
+// parseDialect maps the -wire and -f32 flags onto one dialect: -f32
+// alone asks for the v3 float32 frames, -wire f32 implies -f32, and
+// -wire gob contradicts it.
+func parseDialect(wire string, f32 *bool) (validate.Wire, error) {
+	dialect, err := validate.ParseWire(wire)
+	if err != nil {
+		return 0, fmt.Errorf("unknown -wire %q (want gob, f32 or quant)", wire)
+	}
+	switch dialect {
+	case validate.WireGob:
+		if *f32 {
+			return 0, fmt.Errorf("-wire gob requests the v2 float64 dialect, which -f32 contradicts: drop one of the two flags")
+		}
+	case validate.WireAuto:
+		if *f32 {
+			dialect = validate.WireF32
+		}
+	case validate.WireF32:
+		*f32 = true
+	}
+	return dialect, nil
+}
+
 func cmdValidate(args []string) error {
 	fs := flag.NewFlagSet("validate", flag.ExitOnError)
 	model := fs.String("model", "", "model file to validate (local mode)")
@@ -493,17 +516,9 @@ func cmdValidate(args []string) error {
 	cacheBytes := fs.Int("cache-bytes", 0, "quant-wire replay-frame cache bound in bytes on a v5 session (0 = the compiled default, 8 MiB)")
 	fs.Parse(args)
 
-	dialect, err := validate.ParseWire(*wire)
+	dialect, err := parseDialect(*wire, f32)
 	if err != nil {
-		return fmt.Errorf("unknown -wire %q (want gob, f32 or quant)", *wire)
-	}
-	switch dialect {
-	case validate.WireGob:
-		if *f32 {
-			return fmt.Errorf("-wire gob requests the v2 float64 dialect, which -f32 contradicts: drop one of the two flags")
-		}
-	case validate.WireF32:
-		*f32 = true
+		return err
 	}
 	quantWire := dialect == validate.WireQuant
 	if quantWire && *addr == "" {
@@ -692,17 +707,9 @@ func cmdSentinel(args []string) error {
 	if *key == "" {
 		return fmt.Errorf("a -key is required to open the suite")
 	}
-	dialect, err := validate.ParseWire(*wire)
+	dialect, err := parseDialect(*wire, f32)
 	if err != nil {
-		return fmt.Errorf("unknown -wire %q (want gob, f32 or quant)", *wire)
-	}
-	switch dialect {
-	case validate.WireGob:
-		if *f32 {
-			return fmt.Errorf("-wire gob requests the v2 float64 dialect, which -f32 contradicts: drop one of the two flags")
-		}
-	case validate.WireF32:
-		*f32 = true
+		return err
 	}
 	f, err := os.Open(*suitePath)
 	if err != nil {

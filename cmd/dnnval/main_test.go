@@ -11,6 +11,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/validate"
 )
 
 // buildCLI compiles dnnval once into a temp dir shared by the tests.
@@ -380,5 +382,38 @@ func TestCLIUnknownSubcommand(t *testing.T) {
 	}
 	if _, err := run(t, bin); err == nil {
 		t.Fatal("missing subcommand accepted")
+	}
+}
+
+// TestParseDialect: -f32 alone must ask for the v3 float32 frames
+// (validate.DialOptions has no other spelling for them), -wire f32
+// implies -f32, and -wire gob contradicts it.
+func TestParseDialect(t *testing.T) {
+	cases := []struct {
+		wire         string
+		f32, wantF32 bool
+		want         validate.Wire
+		fails        bool
+	}{
+		{wire: "", want: validate.WireAuto},
+		{wire: "", f32: true, wantF32: true, want: validate.WireF32},
+		{wire: "f32", wantF32: true, want: validate.WireF32},
+		{wire: "gob", want: validate.WireGob},
+		{wire: "gob", f32: true, fails: true},
+		{wire: "quant", f32: true, wantF32: true, want: validate.WireQuant},
+		{wire: "bogus", fails: true},
+	}
+	for _, c := range cases {
+		f32 := c.f32
+		got, err := parseDialect(c.wire, &f32)
+		if c.fails {
+			if err == nil {
+				t.Errorf("-wire %q -f32=%v: no error", c.wire, c.f32)
+			}
+			continue
+		}
+		if err != nil || got != c.want || f32 != c.wantF32 {
+			t.Errorf("-wire %q -f32=%v = %v, -f32=%v, %v; want %v, -f32=%v", c.wire, c.f32, got, f32, err, c.want, c.wantF32)
+		}
 	}
 }

@@ -59,16 +59,16 @@ func RunWire(setups []*Setup, probes int, tol float64) (*Wire, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: wire listener: %w", err)
 		}
-		srv := validate.ServeWith(l, s.Net, validate.ServerOptions{Workers: 2, F32: true})
+		srv := validate.ServeWith(l, s.Net, validate.ServerOptions{Workers: 2, Wire: validate.WireF32})
 
 		dialects := []struct {
 			name string
 			opts validate.DialOptions
 			tol  float64
 		}{
-			{"v2 gob float64", validate.DialOptions{}, 0},
-			{"v3 float32", validate.DialOptions{F32: true}, tol},
-			{"v4 quant delta", validate.DialOptions{Quant: true}, 0},
+			{"v2 gob float64", validate.DialOptions{Wire: validate.WireGob}, 0},
+			{"v3 float32", validate.DialOptions{Wire: validate.WireF32}, tol},
+			{"v4 quant delta", validate.DialOptions{Wire: validate.WireQuant}, 0},
 		}
 		var v2Bytes float64
 		for _, d := range dialects {

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 )
 
 // layerSpec is the gob wire form of one layer: its kind, geometry and
@@ -81,56 +82,139 @@ func Decode(r io.Reader) (*Network, error) {
 	return NewNetwork(layers...), nil
 }
 
+// buildLayer checks a decoded layer spec and builds the layer. Every
+// geometry and payload length is checked before anything is allocated,
+// so a hostile file cannot make a constructor panic or size its
+// buffers: a model file reaches this from any -model flag.
 func buildLayer(ls layerSpec) (Layer, error) {
 	need := func(n int) error {
 		if len(ls.Ints) != n {
 			return fmt.Errorf("kind %s needs %d ints, got %d", ls.Kind, n, len(ls.Ints))
 		}
+		for _, v := range ls.Ints {
+			if v < 0 {
+				return fmt.Errorf("kind %s has negative geometry %v", ls.Kind, ls.Ints)
+			}
+		}
 		return nil
 	}
-	var l Layer
+	var build func() Layer
+	var sizes []int // parameter payload lengths, in Params() order
 	switch ls.Kind {
 	case "conv":
 		if err := need(7); err != nil {
 			return nil, err
 		}
 		g := ls.Ints
-		l = NewConv2D(ls.Name, g[0], g[1], g[2], g[3], g[4], g[5], g[6])
+		inC, inH, inW, outC, k, stride, pad := g[0], g[1], g[2], g[3], g[4], g[5], g[6]
+		if err := checkWindow(inC, inH, inW, k, stride, pad); err != nil {
+			return nil, err
+		}
+		w, ok := checkedProduct(outC, inC, k, k)
+		if !ok || outC < 1 {
+			return nil, fmt.Errorf("conv weights %d×%d×%d×%d must be non-empty and fit an int", outC, inC, k, k)
+		}
+		build = func() Layer { return NewConv2D(ls.Name, inC, inH, inW, outC, k, stride, pad) }
+		sizes = []int{w, outC}
 	case "dense":
 		if err := need(2); err != nil {
 			return nil, err
 		}
-		l = NewDense(ls.Name, ls.Ints[0], ls.Ints[1])
+		in, out := ls.Ints[0], ls.Ints[1]
+		w, ok := checkedProduct(out, in)
+		if !ok || w < 1 {
+			return nil, fmt.Errorf("dense weights %d×%d must be non-empty and fit an int", out, in)
+		}
+		build = func() Layer { return NewDense(ls.Name, in, out) }
+		sizes = []int{w, out}
 	case "maxpool":
 		if err := need(5); err != nil {
 			return nil, err
 		}
 		g := ls.Ints
-		l = NewMaxPool2D(ls.Name, g[0], g[1], g[2], g[3], g[4])
+		if err := checkWindow(g[0], g[1], g[2], g[3], g[4], 0); err != nil {
+			return nil, err
+		}
+		build = func() Layer { return NewMaxPool2D(ls.Name, g[0], g[1], g[2], g[3], g[4]) }
 	case "act":
 		if err := need(1); err != nil {
 			return nil, err
 		}
-		l = NewActivate(ls.Name, Activation(ls.Ints[0]))
+		fn := Activation(ls.Ints[0])
+		if fn > LeakyReLU {
+			return nil, fmt.Errorf("unknown activation %d", ls.Ints[0])
+		}
+		build = func() Layer { return NewActivate(ls.Name, fn) }
 	case "flatten":
-		l = NewFlatten(ls.Name)
+		build = func() Layer { return NewFlatten(ls.Name) }
 	case "scaleshift":
 		if len(ls.Floats) != 2 {
 			return nil, fmt.Errorf("kind scaleshift needs 2 floats, got %d", len(ls.Floats))
 		}
-		l = NewScaleShift(ls.Name, ls.Floats[0], ls.Floats[1])
+		build = func() Layer { return NewScaleShift(ls.Name, ls.Floats[0], ls.Floats[1]) }
 	default:
 		return nil, fmt.Errorf("unknown layer kind %q", ls.Kind)
 	}
-	params := l.Params()
-	if len(params) != len(ls.Weights) {
-		return nil, fmt.Errorf("kind %s has %d params, payload has %d", ls.Kind, len(params), len(ls.Weights))
+	if len(sizes) != len(ls.Weights) {
+		return nil, fmt.Errorf("kind %s has %d params, payload has %d", ls.Kind, len(sizes), len(ls.Weights))
 	}
-	for i, p := range params {
-		if p.W.Size() != len(ls.Weights[i]) {
-			return nil, fmt.Errorf("param %s expects %d values, payload has %d", p.Name, p.W.Size(), len(ls.Weights[i]))
+	for i, n := range sizes {
+		if n != len(ls.Weights[i]) {
+			return nil, fmt.Errorf("param %d of kind %s expects %d values, payload has %d", i, ls.Kind, n, len(ls.Weights[i]))
 		}
+	}
+	l := build()
+	for i, p := range l.Params() {
 		copy(p.W.Data(), ls.Weights[i])
 	}
 	return l, nil
+}
+
+// checkWindow checks a [c, h, w] input and a k×k window at stride over
+// padding pad: positive sizes, stride ≥ 1, padding below the window (a
+// wider border only adds outputs that see nothing but padding, and
+// would let a tiny input size a huge lowering), a window that fits the
+// padded input, and input and lowered volumes that fit an int.
+func checkWindow(c, h, w, k, stride, pad int) error {
+	if c < 1 || h < 1 || w < 1 || k < 1 || stride < 1 || pad >= k {
+		return fmt.Errorf("window geometry c=%d h=%d w=%d k=%d stride=%d pad=%d needs positive sizes and pad < k", c, h, w, k, stride, pad)
+	}
+	ph, okH := checkedSum(h, pad, pad)
+	pw, okW := checkedSum(w, pad, pad)
+	if !okH || !okW || k > ph || k > pw {
+		return fmt.Errorf("window k=%d stride=%d pad=%d does not fit input %dx%d", k, stride, pad, h, w)
+	}
+	if _, ok := checkedProduct(c, h, w); !ok {
+		return fmt.Errorf("input volume %d×%d×%d overflows", c, h, w)
+	}
+	if _, ok := checkedProduct(c, k, k, (ph-k)/stride+1, (pw-k)/stride+1); !ok {
+		return fmt.Errorf("window lowering of %d×%d×%d by k=%d overflows", c, h, w, k)
+	}
+	return nil
+}
+
+// checkedProduct multiplies non-negative ints, reporting whether the
+// product fits an int.
+func checkedProduct(vs ...int) (int, bool) {
+	p := 1
+	for _, v := range vs {
+		if v != 0 && p > math.MaxInt/v {
+			return 0, false
+		}
+		p *= v
+	}
+	return p, true
+}
+
+// checkedSum adds non-negative ints, reporting whether the sum fits an
+// int.
+func checkedSum(vs ...int) (int, bool) {
+	s := 0
+	for _, v := range vs {
+		if s > math.MaxInt-v {
+			return 0, false
+		}
+		s += v
+	}
+	return s, true
 }

@@ -2,7 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -95,5 +98,64 @@ func TestEncodePreservesActivationKind(t *testing.T) {
 	act, ok := got.LayerStack[1].(*Activate)
 	if !ok || act.Fn != Tanh {
 		t.Fatalf("activation kind lost: %#v", got.LayerStack[1])
+	}
+}
+
+// encodeSpec gob-encodes a hand-built network spec, the way a hostile
+// model file would arrive.
+func encodeSpec(t testing.TB, layers ...layerSpec) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(netSpec{Version: wireVersion, Layers: layers}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDecodeRejectsBadGeometry: geometry a constructor would panic on,
+// or that names no valid layer, is a decode error.
+func TestDecodeRejectsBadGeometry(t *testing.T) {
+	conv := func(g ...int) layerSpec {
+		return layerSpec{Kind: "conv", Name: "c", Ints: g, Weights: [][]float64{make([]float64, 4), {0}}}
+	}
+	cases := map[string]layerSpec{
+		"conv stride 0":        conv(1, 4, 4, 1, 2, 0, 0),
+		"conv window too big":  conv(1, 4, 4, 1, 9, 1, 0),
+		"conv zero channels":   conv(0, 4, 4, 1, 2, 1, 0),
+		"conv pad ≥ window":    conv(1, 4, 4, 1, 2, 1, 2),
+		"conv negative pad":    conv(1, 4, 4, 1, 2, 1, -1),
+		"conv pad overflow":    conv(1, 4, 4, 1, 2, 1, math.MaxInt/2+1),
+		"conv volume overflow": conv(1, math.MaxInt/2, math.MaxInt/2, 1, 2, 1, 0),
+		"pool stride 0":        {Kind: "maxpool", Name: "p", Ints: []int{1, 4, 4, 2, 0}},
+		"pool window too big":  {Kind: "maxpool", Name: "p", Ints: []int{1, 4, 4, 5, 1}},
+		"dense zero":           {Kind: "dense", Name: "d", Ints: []int{0, 3}, Weights: [][]float64{nil, make([]float64, 3)}},
+		"dense overflow":       {Kind: "dense", Name: "d", Ints: []int{math.MaxInt / 2, 4}, Weights: [][]float64{nil, make([]float64, 4)}},
+		"unknown activation":   {Kind: "act", Name: "a", Ints: []int{int(LeakyReLU) + 1}},
+		"negative activation":  {Kind: "act", Name: "a", Ints: []int{-1}},
+	}
+	for name, ls := range cases {
+		if _, err := Decode(bytes.NewReader(encodeSpec(t, ls))); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+// TestDecodeChecksPayloadBeforeAllocating: a small file declaring a huge
+// dense layer with no payload is rejected before the layer's weights and
+// gradients are allocated — at 1<<20 × 1<<20 an allocation would kill
+// the process.
+func TestDecodeChecksPayloadBeforeAllocating(t *testing.T) {
+	for _, n := range []int{8192, 1 << 20} {
+		file := encodeSpec(t, layerSpec{Kind: "dense", Name: "fc", Ints: []int{n, n}})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(bytes.NewReader(file))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%d×%d dense layer with no payload decoded", n, n)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Fatalf("rejecting a %d-byte file allocated %d bytes", len(file), got)
+		}
 	}
 }

@@ -118,9 +118,9 @@ func BenchmarkReplayF32(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := ServeWith(l, goldenNet(), ServerOptions{F32: true})
+	srv := ServeWith(l, goldenNet(), ServerOptions{Wire: WireF32})
 	b.Cleanup(func() { srv.Close() })
-	ip, err := DialWith(srv.Addr(), DialOptions{F32: true})
+	ip, err := DialWith(srv.Addr(), DialOptions{Wire: WireF32})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func BenchmarkReplayF32(b *testing.B) {
 func BenchmarkReplayV4(b *testing.B) {
 	suite := benchSuite(b, QuantizedOutputs)
 	addrs := benchServers(b, 1)
-	ip, err := DialWith(addrs[0], DialOptions{Quant: true})
+	ip, err := DialWith(addrs[0], DialOptions{Wire: WireQuant})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func BenchmarkReplayRedial(b *testing.B) {
 			b.Cleanup(func() { srv.Close() })
 			opts := ValidateOptions{Batch: 16}
 			redial := func() WireStats {
-				ip, derr := DialWith(srv.Addr(), DialOptions{Quant: true})
+				ip, derr := DialWith(srv.Addr(), DialOptions{Wire: WireQuant})
 				if derr != nil {
 					b.Fatal(derr)
 				}
@@ -290,7 +290,7 @@ func BenchmarkReplayManyClients(b *testing.B) {
 			opts := ValidateOptions{Batch: 1, Concurrency: 2}
 			ips := make([]*RemoteIP, clients)
 			for i := range ips {
-				ip, derr := DialWith(srv.Addr(), DialOptions{Quant: true})
+				ip, derr := DialWith(srv.Addr(), DialOptions{Wire: WireQuant})
 				if derr != nil {
 					b.Fatal(derr)
 				}

@@ -396,7 +396,7 @@ func (s *ShardedIP) QueryQuant(xs []*tensor.Tensor, refs []quant.Frame, decimals
 	out, err := s.roundRobin(func(rep BatchIP) (any, error) {
 		q, ok := rep.(QuantIP)
 		if !ok || !q.QuantWire() {
-			return nil, &QueryError{Msg: "validate: replica does not speak the quantised wire dialect — dial the fleet with DialOptions.Quant"}
+			return nil, &QueryError{Msg: "validate: replica does not speak the quantised wire dialect — dial the fleet with Wire: WireQuant"}
 		}
 		return q.QueryQuant(xs, refs, decimals)
 	})

@@ -11,10 +11,11 @@ import (
 // connections; each alone evaluates as one per-sample forward pass,
 // leaving the batched engine — whose per-sample bit-identity the suite
 // machinery already guarantees — idle. When ServerOptions.CoalesceWindow
-// is set, single-input requests of the same input shape are gathered
-// across connections for up to the window (or until CoalesceBatch
-// queries) into one ForwardBatch on a single clone, and the replies fan
-// back out per connection in each dialect's own framing.
+// is set, single-input requests of the same precision and input shape
+// are gathered across connections — whatever their dialect — for up to
+// the window (or until CoalesceBatch queries) into one ForwardBatch on
+// a single clone, and the replies fan back out per connection in each
+// dialect's own framing.
 //
 // Invisibility is by construction: ForwardBatch output sample i is
 // bit-identical to a per-sample Forward of input i (the PR 2/3
@@ -28,16 +29,16 @@ import (
 // ServerOptions.CoalesceBatch is unset.
 const defaultCoalesceBatch = 32
 
-// coalescer gathers same-shape values submitted by concurrent handler
-// goroutines into batches for a single run call. T is the tensor type
-// of one fleet (*tensor.Tensor or *tensor.T32).
-type coalescer[T any] struct {
+// coalescer gathers values submitted by concurrent handler goroutines
+// under equal keys into batches for a single run call; the evaluator
+// keys by precision and input shape.
+type coalescer[K comparable, T any] struct {
 	window   time.Duration
 	maxBatch int
-	run      func([]T) ([]T, error)
+	run      func(K, []T) ([]T, error)
 
 	mu      sync.Mutex
-	pending map[string]*coalesceBatch[T]
+	pending map[K]*coalesceBatch[T]
 }
 
 type coalesceBatch[T any] struct {
@@ -48,28 +49,28 @@ type coalesceBatch[T any] struct {
 	err   error
 }
 
-func newCoalescer[T any](window time.Duration, maxBatch int, run func([]T) ([]T, error)) *coalescer[T] {
-	return &coalescer[T]{
+func newCoalescer[K comparable, T any](window time.Duration, maxBatch int, run func(K, []T) ([]T, error)) *coalescer[K, T] {
+	return &coalescer[K, T]{
 		window:   window,
 		maxBatch: maxBatch,
 		run:      run,
-		pending:  make(map[string]*coalesceBatch[T]),
+		pending:  make(map[K]*coalesceBatch[T]),
 	}
 }
 
-// submit joins (or opens) the gathering batch for the given shape key,
+// submit joins (or opens) the gathering batch for the given key,
 // parks until the batch runs, and returns this submission's own
 // output. All members of a batch share one evaluation — and, on
 // failure, one error, which by the shape-keying argument above is the
 // error each would have gotten alone.
-func (c *coalescer[T]) submit(shape string, x T) (T, error) {
+func (c *coalescer[K, T]) submit(key K, x T) (T, error) {
 	c.mu.Lock()
-	b := c.pending[shape]
+	b := c.pending[key]
 	if b == nil {
 		b = &coalesceBatch[T]{done: make(chan struct{})}
-		c.pending[shape] = b
+		c.pending[key] = b
 		bb := b
-		b.timer = time.AfterFunc(c.window, func() { c.flush(shape, bb) }) //detlint:allow walltime(coalesce window timer: batching latency only; replay outputs are bit-identical regardless of how requests group)
+		b.timer = time.AfterFunc(c.window, func() { c.flush(key, bb) }) //detlint:allow walltime(coalesce window timer: batching latency only; replay outputs are bit-identical regardless of how requests group)
 	}
 	idx := len(b.xs)
 	b.xs = append(b.xs, x)
@@ -77,12 +78,12 @@ func (c *coalescer[T]) submit(shape string, x T) (T, error) {
 	if full {
 		// The batch is at capacity: claim it here so no later submit
 		// joins, and run it without waiting out the window.
-		delete(c.pending, shape)
+		delete(c.pending, key)
 		b.timer.Stop()
 	}
 	c.mu.Unlock()
 	if full {
-		c.exec(b)
+		c.exec(key, b)
 	}
 	<-b.done
 	if b.err != nil {
@@ -94,119 +95,26 @@ func (c *coalescer[T]) submit(shape string, x T) (T, error) {
 
 // flush is the window timer's path: claim the batch if no full-batch
 // submit already did, then run it.
-func (c *coalescer[T]) flush(shape string, b *coalesceBatch[T]) {
+func (c *coalescer[K, T]) flush(key K, b *coalesceBatch[T]) {
 	c.mu.Lock()
-	claimed := c.pending[shape] == b
+	claimed := c.pending[key] == b
 	if claimed {
-		delete(c.pending, shape)
+		delete(c.pending, key)
 	}
 	c.mu.Unlock()
 	if claimed {
-		c.exec(b)
+		c.exec(key, b)
 	}
 }
 
 // exec runs a claimed batch exactly once and releases its members.
 // b.xs is stable here: appends only happen while the batch is in the
 // pending map, and claiming removed it under the same mutex.
-func (c *coalescer[T]) exec(b *coalesceBatch[T]) {
-	outs, err := c.run(b.xs)
+func (c *coalescer[K, T]) exec(key K, b *coalesceBatch[T]) {
+	outs, err := c.run(key, b.xs)
 	if err == nil && len(outs) != len(b.xs) {
 		err = fmt.Errorf("validate: coalesced batch answered %d outputs for %d queries", len(outs), len(b.xs))
 	}
 	b.outs, b.err = outs, err
 	close(b.done)
-}
-
-// shapeString is the coalescing key: queries batch together only when
-// their input shapes are identical, which is exactly the precondition
-// of the batched forward path.
-func shapeString(shape []int) string {
-	return fmt.Sprint(shape)
-}
-
-// answerV2Coalesced serves a single-input v2 request through the
-// float64 coalescer. Only called with len(req.Inputs) == 1.
-func (s *Server) answerV2Coalesced(req requestV2) responseV2 {
-	resp := responseV2{ID: req.ID}
-	x, err := fromWire(req.Inputs[0])
-	if err != nil {
-		resp.Err = err.Error()
-		return resp
-	}
-	out, err := s.coal64.submit(shapeString(x.Shape()), x)
-	if err != nil {
-		resp.Err = err.Error()
-		return resp
-	}
-	resp.Outputs = []wireTensor{toWire(out)}
-	return resp
-}
-
-// answerV3Coalesced serves a single-input v3 request through the
-// float32 coalescer (the server hosts an f32 fleet).
-func (s *Server) answerV3Coalesced(req requestV3) responseV3 {
-	resp := responseV3{ID: req.ID}
-	x, err := fromWire32T32(req.Inputs[0])
-	if err != nil {
-		resp.Err = err.Error()
-		return resp
-	}
-	out, err := s.coal32.submit(shapeString(x.Shape()), x)
-	if err != nil {
-		resp.Err = err.Error()
-		return resp
-	}
-	resp.Outputs = []wireTensor32{{Shape: append([]int(nil), out.Shape()...), Data: out.Data()}}
-	return resp
-}
-
-// answerV3On64Coalesced serves a single-input v3 request through the
-// float64 coalescer (no f32 fleet: inputs widen, frames stay float32).
-func (s *Server) answerV3On64Coalesced(req requestV3) responseV3 {
-	resp := responseV3{ID: req.ID}
-	x, err := fromWire32(req.Inputs[0])
-	if err != nil {
-		resp.Err = err.Error()
-		return resp
-	}
-	out, err := s.coal64.submit(shapeString(x.Shape()), x)
-	if err != nil {
-		resp.Err = err.Error()
-		return resp
-	}
-	resp.Outputs = []wireTensor32{toWire32(out)}
-	return resp
-}
-
-// answerV4Coalesced serves a single-input v4/v5 frame through the
-// float64 coalescer, quantising the output exactly as answerV4 would.
-func (s *Server) answerV4Coalesced(sf *storedFrameV4, id uint64) responseV4 {
-	resp := responseV4{ID: id}
-	x := sf.inputs[0]
-	out, err := s.coal64.submit(shapeString(x.Shape()), x)
-	if err != nil {
-		resp.Err = err.Error()
-		return resp
-	}
-	resp.Outputs = encodeQuantOutputs(1,
-		func(int) []int { return out.Shape() },
-		func(_, j int) float64 { return out.Data()[j] },
-		func(int) int { return out.Size() }, sf)
-	return resp
-}
-
-// answerV4Coalesced32 is answerV4Coalesced on the float32 fleet.
-func (s *Server) answerV4Coalesced32(sf *storedFrameV4, id uint64) responseV4 {
-	resp := responseV4{ID: id}
-	out, err := s.coal32.submit(shapeString(sf.inputs[0].Shape()), sf.inputs[0].F32())
-	if err != nil {
-		resp.Err = err.Error()
-		return resp
-	}
-	resp.Outputs = encodeQuantOutputs(1,
-		func(int) []int { return out.Shape() },
-		func(_, j int) float64 { return float64(out.Data()[j]) },
-		func(int) int { return out.Size() }, sf)
-	return resp
 }

@@ -30,7 +30,7 @@ func startServerCoalesce(t *testing.T, target *nn.Network, maxVersion byte, wind
 		t.Fatal(err)
 	}
 	srv := ServeWith(l, target, ServerOptions{
-		Workers: 2, F32: true, MaxVersion: maxVersion,
+		Workers: 2, Wire: WireF32, MaxVersion: maxVersion,
 		FrameStore:     NewFrameStore(0, 0),
 		CoalesceWindow: window, CoalesceBatch: 4,
 	})
@@ -52,14 +52,14 @@ func TestCoalescingVerdictIdentityGrid(t *testing.T) {
 		dial DialOptions
 	}{
 		{"v2-exact", ExactOutputs, protocolV2, DialOptions{}},
-		{"v3-f32", ExactOutputs, protocolV3, DialOptions{F32: true}},
-		{"v4-quant", QuantizedOutputs, protocolV4, DialOptions{Quant: true}},
-		{"v5-quant", QuantizedOutputs, protocolVersion, DialOptions{Quant: true}},
+		{"v3-f32", ExactOutputs, protocolV3, DialOptions{Wire: WireF32}},
+		{"v4-quant", QuantizedOutputs, protocolV4, DialOptions{Wire: WireQuant}},
+		{"v5-quant", QuantizedOutputs, protocolVersion, DialOptions{Wire: WireQuant}},
 	}
 	for _, d := range dialects {
 		suite := goldenSuite(t, 8, d.mode)
 		tol := 0.0
-		if d.dial.F32 {
+		if d.dial.Wire == WireF32 {
 			tol = 1e-4 // float32 fleet vs float64 references
 		}
 		for _, intact := range []bool{true, false} {
@@ -129,7 +129,7 @@ func TestCoalescerBatching(t *testing.T) {
 	var runs int
 	var sizes []int
 	var mu sync.Mutex
-	c := newCoalescer[int](time.Hour, 3, func(xs []int) ([]int, error) {
+	c := newCoalescer[string, int](time.Hour, 3, func(_ string, xs []int) ([]int, error) {
 		mu.Lock()
 		runs++
 		sizes = append(sizes, len(xs))
@@ -167,11 +167,11 @@ func TestCoalescerBatching(t *testing.T) {
 }
 
 // TestCoalescerWindowFlush: a lone submission is released by the window
-// timer, and distinct shapes never share a batch.
+// timer, and distinct keys never share a batch.
 func TestCoalescerWindowFlush(t *testing.T) {
 	var mu sync.Mutex
 	var batches [][]string
-	c := newCoalescer[string](coalesceWindow, 64, func(xs []string) ([]string, error) {
+	c := newCoalescer[string, string](coalesceWindow, 64, func(_ string, xs []string) ([]string, error) {
 		mu.Lock()
 		batches = append(batches, append([]string(nil), xs...))
 		mu.Unlock()
@@ -204,7 +204,7 @@ func TestCoalescerWindowFlush(t *testing.T) {
 // TestCoalescerErrorHomogeneity: when the run fails, every member of
 // the batch observes the error.
 func TestCoalescerErrorHomogeneity(t *testing.T) {
-	c := newCoalescer[int](time.Hour, 2, func(xs []int) ([]int, error) {
+	c := newCoalescer[string, int](time.Hour, 2, func(_ string, xs []int) ([]int, error) {
 		return nil, fmt.Errorf("fleet on fire")
 	})
 	var wg sync.WaitGroup

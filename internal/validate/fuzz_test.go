@@ -1,6 +1,9 @@
 package validate
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -90,10 +93,66 @@ func FuzzDecodeFrame(f *testing.F) {
 			for i := range vals32 {
 				vals32[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
 			}
-			if got, err := fromWire32T32(wireTensor32{Shape: shape, Data: vals32}); err == nil {
+			if got, err := fromWire32(wireTensor32{Shape: shape, Data: vals32}); err == nil {
 				if got.Size() != len(vals32) {
 					t.Fatalf("v3 tensor accepted with %d values for size %d", len(vals32), got.Size())
 				}
+			}
+		}
+	})
+}
+
+// FuzzOpenSuite drives OpenSuite, which every sealed-suite file reaches,
+// with arbitrary files under a fixed key. Each input is opened as given
+// — the framing and the MAC check — and again re-MACed under the key,
+// so mutations inside the payload get past the MAC and reach the gob
+// decoder and the tensor checks. Neither may panic or let a declared
+// length drive an allocation; a suite either opens whole, sealing back
+// to the same bytes, or fails with an error. The seeds are a valid
+// sealed file and one sealed under another key.
+func FuzzOpenSuite(f *testing.F) {
+	key := []byte("fuzz-key")
+	// A small hand-built suite: seeds stay short for the mutator, and
+	// no network has to be trained before the first execution.
+	suite := &Suite{Name: "fuzz", Mode: QuantizedOutputs, Decimals: 6,
+		Inputs:  []*tensor.Tensor{tensor.FromSlice([]float64{0.25, 0.75, -1}, 3, 1), tensor.FromSlice([]float64{2}, 1)},
+		Outputs: []*tensor.Tensor{tensor.FromSlice([]float64{1.5, -2.25}, 2), tensor.FromSlice([]float64{math.Inf(1)}, 1)}}
+	for _, k := range [][]byte{key, []byte("other-key")} {
+		var sealed bytes.Buffer
+		if err := suite.Seal(&sealed, k); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(sealed.Bytes())
+	}
+
+	f.Fuzz(func(t *testing.T, file []byte) {
+		opened := [][]byte{file}
+		if len(file) >= 8+sha256.Size {
+			payload := file[8 : len(file)-sha256.Size]
+			remac := binary.BigEndian.AppendUint64(nil, uint64(len(payload)))
+			remac = append(remac, payload...)
+			mac := hmac.New(sha256.New, key)
+			mac.Write(payload)
+			opened = append(opened, mac.Sum(remac))
+		}
+		for _, b := range opened {
+			s, err := OpenSuite(bytes.NewReader(b), key)
+			if err != nil {
+				continue
+			}
+			if len(s.Inputs) != len(s.Outputs) {
+				t.Fatalf("opened suite has %d inputs and %d outputs", len(s.Inputs), len(s.Outputs))
+			}
+			var again bytes.Buffer
+			if err := s.Seal(&again, key); err != nil {
+				t.Fatalf("opened suite does not seal: %v", err)
+			}
+			back, err := OpenSuite(&again, key)
+			if err != nil {
+				t.Fatalf("resealed suite does not open: %v", err)
+			}
+			if back.Name != s.Name || back.Mode != s.Mode || back.Decimals != s.Decimals || back.Len() != s.Len() {
+				t.Fatalf("seal round trip changed the suite header")
 			}
 		}
 	})

@@ -36,14 +36,21 @@ import (
 // evaluated on a network clone checked out of a pool, so handlers run
 // concurrently).
 //
+// Every dialect is a codec around one evaluator (evaluator.go): a
+// session decodes a request, asks the evaluator for a precision, and
+// encodes the outputs. The precision rule: v2 evaluates in float64
+// always; v3 in float32 when the server hosts the float32 fleet
+// (ServerOptions.Wire WireF32); v4/v5 in float32 when the frame's F32
+// flag is set and the fleet exists. Everything else runs on the
+// bit-exact float64 clones.
+//
 // Protocol v3 carries float32 tensors in both directions — half the
 // replay bandwidth of the v2 float64 frames, and the wire form of the
-// reduced-precision serving path (a v3 session on an -f32 server
-// evaluates on its float32 clone fleet). A client only requests v3 when
-// it wants float32 frames (DialOptions.F32); replay against v3 outputs
-// must use a Tolerance, so v2 with its bit-exact float64 frames remains
-// the default dialect, and v2-only peers on either side keep working
-// unchanged.
+// reduced-precision serving path. A client only requests v3 when it
+// wants float32 frames (DialOptions.Wire WireF32); replay against v3
+// outputs must use a Tolerance, so v2 with its bit-exact float64 frames
+// remains the default dialect, and v2-only peers on either side keep
+// working unchanged.
 //
 // Protocol v4 carries quantised delta-encoded replay frames for
 // QuantizedOutputs suites: outputs ship as fixed-point integers at the
@@ -52,8 +59,8 @@ import (
 // a replay-frame cache so a re-sent suite frame is a fixed-size
 // back-reference. Verdicts are computed on the wire representation
 // directly; see wirev4.go. A client only requests v4 when it wants the
-// quantised dialect (DialOptions.Quant), so v2 stays the default and
-// v2/v3-only peers on either side keep working unchanged.
+// quantised dialect (DialOptions.Wire WireQuant), so v2 stays the
+// default and v2/v3-only peers on either side keep working unchanged.
 //
 // Protocol v5 is v4 plus the shared-store capability: the same framing
 // and verdict construction, with new-frame uploads replaced by content
@@ -140,9 +147,9 @@ func toWire32(t *tensor.Tensor) wireTensor32 {
 	return wireTensor32{Shape: append([]int(nil), t.Shape()...), Data: d}
 }
 
-// fromWire32T32 validates a v3 frame and wraps it as a float32 tensor
-// (sharing the decoded payload).
-func fromWire32T32(w wireTensor32) (*tensor.T32, error) {
+// fromWire32 validates a v3 frame and widens it (exactly) to a float64
+// tensor.
+func fromWire32(w wireTensor32) (*tensor.Tensor, error) {
 	n, err := shapeSize(w.Shape)
 	if err != nil {
 		return nil, err
@@ -150,16 +157,11 @@ func fromWire32T32(w wireTensor32) (*tensor.T32, error) {
 	if n != len(w.Data) {
 		return nil, fmt.Errorf("validate: wire tensor shape %v does not match %d values", w.Shape, len(w.Data))
 	}
-	return tensor.FromSliceOf(w.Data, w.Shape...), nil
-}
-
-// fromWire32 validates a v3 frame and widens it to a float64 tensor.
-func fromWire32(w wireTensor32) (*tensor.Tensor, error) {
-	t32, err := fromWire32T32(w)
-	if err != nil {
-		return nil, err
+	d := make([]float64, n)
+	for i, v := range w.Data {
+		d[i] = float64(v)
 	}
-	return t32.F64(), nil
+	return tensor.FromSlice(d, w.Shape...), nil
 }
 
 // ServerOptions configures a served IP endpoint.
@@ -170,21 +172,15 @@ type ServerOptions struct {
 	Workers int
 	// Wire provisions the server for a wire dialect. WireF32 hosts a
 	// float32 inference fleet (Workers clones converted from the served
-	// network) in addition to the float64 clones: protocol-v3 sessions
-	// are then evaluated in float32 on it, halving kernel memory
-	// traffic. Without it, v3 sessions evaluate on the float64 clones
-	// and only the frames are float32. The other dialects need no
-	// provisioning — a server answers v2 and v4 sessions from whichever
-	// fleets it has (v2 always on the bit-exact float64 clones) — so
-	// WireAuto, WireGob and WireQuant configure nothing extra here; the
-	// dialect actually spoken is negotiated per connection, capped by
-	// MaxVersion.
+	// network) in addition to the float64 clones: protocol-v3 sessions,
+	// and v4/v5 frames flagged F32, are then evaluated in float32 on
+	// it, halving kernel memory traffic. Without it those evaluate on
+	// the float64 clones and only the frames are float32. The other
+	// dialects need no provisioning — v2 always evaluates on the
+	// bit-exact float64 clones — so WireAuto, WireGob and WireQuant
+	// configure nothing extra here; the dialect actually spoken is
+	// negotiated per connection, capped by MaxVersion.
 	Wire Wire
-	// F32 hosts the float32 fleet.
-	//
-	// Deprecated: set Wire: WireF32 instead; this boolean is the
-	// pre-enum spelling and is honoured as an alias.
-	F32 bool
 	// MaxVersion caps the wire protocol version this server negotiates
 	// (0 means the build's highest). An interop/rollback knob: a fleet
 	// pinned to 4 serves v5-capable clients a per-connection v4
@@ -225,27 +221,18 @@ type ServerOptions struct {
 	CoalesceBatch int
 }
 
-// hostF32 is the one place the deprecated F32 alias folds into the
-// Wire enum: the server hosts a float32 fleet when either spelling
-// asks for it.
-func (o ServerOptions) hostF32() bool { return o.F32 || o.Wire == WireF32 }
-
 // Server hosts a network as a black-box IP endpoint. Requests are
 // evaluated concurrently on a pool of clones of the served network
 // (the clones snapshot the parameters at Serve time; SyncParamsFrom
 // hot-updates them), so no global forward mutex serialises queries.
 type Server struct {
-	clones     *nn.ClonePool
-	clones32   *nn.ClonePoolF32 // float32 fleet for v3/v4 sessions; nil unless ServerOptions.F32
+	eval       *evaluator // the clone fleets and coalescer every session evaluates on
 	listener   net.Listener
 	maxVersion byte
 
 	store       *FrameStore // v5 shared frame store (never nil)
 	cacheFrames int         // v5 session-cache bounds (v4 sessions pin the compiled defaults)
 	cacheBytes  int
-
-	coal64 *coalescer[*tensor.Tensor] // cross-connection coalescers; nil when CoalesceWindow is 0
-	coal32 *coalescer[*tensor.T32]
 
 	wg        sync.WaitGroup
 	closed    chan struct{}
@@ -285,7 +272,7 @@ func ServeWith(l net.Listener, network *nn.Network, opts ServerOptions) *Server 
 	}
 	cacheFrames, cacheBytes := cacheBoundsOrDefault(opts.CacheFrames, opts.CacheBytes)
 	s := &Server{
-		clones:      nn.NewClonePool(network, workers),
+		eval:        &evaluator{clones: nn.NewClonePool(network, workers)},
 		listener:    l,
 		maxVersion:  maxV,
 		store:       store,
@@ -294,26 +281,11 @@ func ServeWith(l net.Listener, network *nn.Network, opts ServerOptions) *Server 
 		closed:      make(chan struct{}),
 		conns:       make(map[net.Conn]struct{}),
 	}
-	if opts.hostF32() {
-		s.clones32 = nn.NewClonePoolF32(network, workers)
+	if opts.Wire == WireF32 {
+		s.eval.clones32 = nn.NewClonePoolF32(network, workers)
 	}
 	if opts.CoalesceWindow > 0 {
-		batch := opts.CoalesceBatch
-		if batch <= 0 {
-			batch = defaultCoalesceBatch
-		}
-		s.coal64 = newCoalescer(opts.CoalesceWindow, batch, func(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-			clone := s.clones.Acquire()
-			defer s.clones.Release(clone)
-			return evalOn(clone, xs)
-		})
-		if s.clones32 != nil {
-			s.coal32 = newCoalescer(opts.CoalesceWindow, batch, func(xs []*tensor.T32) ([]*tensor.T32, error) {
-				clone := s.clones32.Acquire()
-				defer s.clones32.Release(clone)
-				return evalOnF32(clone, xs)
-			})
-		}
+		s.eval.coalesce(opts.CoalesceWindow, opts.CoalesceBatch)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -331,14 +303,9 @@ func (s *Server) Addr() string { return s.listener.Addr().String() }
 // SyncParamsFrom refreshes the served parameters from src (which must
 // share the served network's architecture) — a hot model update. It
 // blocks until in-flight evaluations finish; no query ever sees a
-// half-updated parameter set. On an F32 server the float32 fleet is
-// re-quantised from the same master.
-func (s *Server) SyncParamsFrom(src *nn.Network) {
-	s.clones.SyncParamsFrom(src)
-	if s.clones32 != nil {
-		s.clones32.SyncParamsFrom(src)
-	}
-}
+// half-updated parameter set. A hosted float32 fleet is re-quantised
+// from the same master.
+func (s *Server) SyncParamsFrom(src *nn.Network) { s.eval.SyncParamsFrom(src) }
 
 // Close stops accepting, drains in-flight requests (every request
 // already read off a connection is answered), closes the connections,
@@ -436,6 +403,33 @@ const handshakeTimeout = 10 * time.Second
 // timeout even against a dead-reader client.
 const serverWriteTimeout = 30 * time.Second
 
+// Lingering-close bounds. A connection the server answers without
+// serving — a v1 client, a pre-v2 hello — still has the client's
+// request unread; closing over unread bytes sends a TCP reset
+// (RFC 1122 §4.2.2.13), which can fail the client's write or discard
+// the reply in flight. So the server half-closes and drains up to
+// lingerBytes for up to lingerTimeout before it closes.
+const (
+	lingerBytes   = 64 << 10
+	lingerTimeout = 2 * time.Second
+)
+
+// lingerClose ends a connection after its final reply: CloseWrite, then
+// drain the read side until the client hangs up, lingerBytes arrive or
+// lingerTimeout passes; handle's deferred Close then finds nothing
+// unread. Close's expired read deadline still cuts the drain short —
+// Close marks closing before it expires deadlines, so either the check
+// below sees it or Close's deadline lands after this one.
+func (s *Server) lingerClose(conn net.Conn) {
+	if cw, ok := conn.(interface{ CloseWrite() error }); ok {
+		cw.CloseWrite()
+	}
+	conn.SetReadDeadline(time.Now().Add(lingerTimeout))
+	if !s.closing() {
+		io.Copy(io.Discard, io.LimitReader(conn, lingerBytes))
+	}
+}
+
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
@@ -450,6 +444,7 @@ func (s *Server) handle(conn net.Conn) {
 		// a descriptive error instead of a decode failure.
 		enc.Encode(queryResponse{Err: fmt.Sprintf(
 			"validate: protocol version mismatch: this server speaks v%d (preamble-first); the client opened with a pre-handshake v1 stream — upgrade the client", protocolVersion)})
+		s.lingerClose(conn)
 		return
 	}
 	// Negotiate the session version: the lower of the client's hello and
@@ -468,6 +463,7 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	if version < protocolV2 {
+		s.lingerClose(conn)
 		return
 	}
 	conn.SetDeadline(time.Time{})
@@ -489,137 +485,55 @@ func (s *Server) handle(conn net.Conn) {
 		// so the configured v5 bounds do not apply here.
 		v4cache = newFrameCacheV4(0, 0)
 	}
-	// Coalesced requests skip the clone checkout below; this semaphore
-	// keeps their per-connection inflight and queued-response memory
-	// bounded at the pool size, exactly as the checkout does for the
-	// direct path.
-	var coalSem chan struct{}
-	if s.coal64 != nil {
-		coalSem = make(chan struct{}, s.clones.Size())
-	}
+	// Coalesced requests skip the clone checkout; this semaphore keeps
+	// their per-connection inflight and queued-response memory bounded
+	// at the pool size, exactly as the checkout does for the rest.
+	coalSem := make(chan struct{}, s.eval.clones.Size())
 	defer inflight.Wait() // drain: every accepted request is answered before conn.Close
 	for {
-		// Decode the version-appropriate request, then check a clone out
-		// *before* spawning the handler — holding it until the response
-		// is written caps the per-connection concurrency AND the
-		// queued-response memory at the pool size, backpressuring both a
-		// flooding client and a non-reading one instead of buffering for
-		// them.
-		var work func() any // evaluates the request on its checked-out clone
-		var release func()
-		if version >= protocolV4 {
+		// Decode the version-appropriate request, then claim its
+		// evaluation *before* spawning the handler — holding the claim
+		// until the response is written caps the per-connection
+		// concurrency AND the queued-response memory at the pool size,
+		// backpressuring both a flooding client and a non-reading one
+		// instead of buffering for them.
+		var work func() any           // builds the response
+		var answer func(evalFunc) any // the dialect's codec around an evaluation; nil when none is needed
+		var f32 bool                  // the precision the dialect asks for
+		var n int                     // the request's input count
+		switch {
+		case version >= protocolV4:
 			var req requestV4
 			if err := dec.Decode(&req); err != nil {
 				return
 			}
-			// Resolve the replay frame serially, in stream order, so the
-			// cache mirrors the client's registry; evaluation then fans
-			// out like any other request.
-			var sf *storedFrameV4
-			var ferr error
-			var needFrame bool
-			if req.Frame != nil {
-				if sf, ferr = resolveFrameV4(req.Frame); ferr == nil {
-					v4cache.insert(req.Seq, sf)
-					if version >= protocolV5 {
-						// Content-address the body under a key this side
-						// computed from the received bytes — a client-claimed
-						// hash can never bind foreign content.
-						s.store.insert(frameKey(req.Frame), sf)
-					}
-				}
-			} else if cached, ok := v4cache.lookup(req.Seq); ok {
-				sf = cached
-			} else if version >= protocolV5 {
-				if len(req.Hash) > 0 {
-					if hit, ok := s.store.lookup(string(req.Hash)); ok {
-						// Probe hit: pin the stored frame into this
-						// session's cache under the client's seq so later
-						// back-references resolve.
-						sf = hit
-						v4cache.insert(req.Seq, sf)
-					}
-				}
-				// Anything unresolvable on a v5 session — a probe whose
-				// hash the store misses, or a back-reference outside this
-				// session's window — is answered NeedFrame: the client
-				// re-sends the body and the exchange self-heals.
-				needFrame = sf == nil
-			} else {
-				ferr = fmt.Errorf("validate: replay frame %d is not in this session's cache window", req.Seq)
-			}
-			switch {
-			case needFrame:
-				resp := responseV4{ID: req.ID, NeedFrame: true}
+			sf, resp := s.resolveV4(version, v4cache, req)
+			if sf == nil {
 				work = func() any { return resp }
-				release = func() {}
-			case ferr != nil:
-				resp := responseV4{ID: req.ID, Err: ferr.Error()}
-				work = func() any { return resp }
-				release = func() {}
-			case sf.f32 && s.clones32 != nil:
-				if s.coal32 != nil && len(sf.inputs) == 1 {
-					coalSem <- struct{}{}
-					id := req.ID
-					work = func() any { return s.answerV4Coalesced32(sf, id) }
-					release = func() { <-coalSem }
-				} else {
-					clone := s.clones32.Acquire()
-					work = func() any { return answerV4On32(clone, sf, req.ID) }
-					release = func() { s.clones32.Release(clone) }
-				}
-			default:
-				if s.coal64 != nil && len(sf.inputs) == 1 {
-					coalSem <- struct{}{}
-					id := req.ID
-					work = func() any { return s.answerV4Coalesced(sf, id) }
-					release = func() { <-coalSem }
-				} else {
-					clone := s.clones.Acquire()
-					work = func() any { return answerV4(clone, sf, req.ID) }
-					release = func() { s.clones.Release(clone) }
-				}
+				break
 			}
-		} else if version == protocolV3 {
+			f32, n = sf.f32, len(sf.inputs)
+			answer = func(run evalFunc) any { return answerV4(run, sf, req.ID) }
+		case version == protocolV3:
 			var req requestV3
 			if err := dec.Decode(&req); err != nil {
 				return // EOF, broken stream, or an expired drain deadline ends the session
 			}
-			if s.clones32 != nil {
-				if s.coal32 != nil && len(req.Inputs) == 1 {
-					coalSem <- struct{}{}
-					work = func() any { return s.answerV3Coalesced(req) }
-					release = func() { <-coalSem }
-				} else {
-					clone := s.clones32.Acquire()
-					work = func() any { return answerV3(clone, req) }
-					release = func() { s.clones32.Release(clone) }
-				}
-			} else {
-				if s.coal64 != nil && len(req.Inputs) == 1 {
-					coalSem <- struct{}{}
-					work = func() any { return s.answerV3On64Coalesced(req) }
-					release = func() { <-coalSem }
-				} else {
-					clone := s.clones.Acquire()
-					work = func() any { return answerV3On64(clone, req) }
-					release = func() { s.clones.Release(clone) }
-				}
-			}
-		} else {
+			f32, n = true, len(req.Inputs)
+			answer = func(run evalFunc) any { return answerV3(run, req) }
+		default:
 			var req requestV2
 			if err := dec.Decode(&req); err != nil {
 				return
 			}
-			if s.coal64 != nil && len(req.Inputs) == 1 {
-				coalSem <- struct{}{}
-				work = func() any { return s.answerV2Coalesced(req) }
-				release = func() { <-coalSem }
-			} else {
-				clone := s.clones.Acquire()
-				work = func() any { return answer(clone, req) }
-				release = func() { s.clones.Release(clone) }
-			}
+			n = len(req.Inputs)
+			answer = func(run evalFunc) any { return answerV2(run, req) }
+		}
+		release := func() {}
+		if answer != nil {
+			var run evalFunc
+			run, release = s.eval.claim(f32, n, coalSem)
+			work = func() any { return answer(run) }
 		}
 		inflight.Add(1)
 		go func() {
@@ -652,23 +566,10 @@ func (s *Server) closing() bool {
 	}
 }
 
-// answer evaluates one batched request on the given clone.
-func answer(clone *nn.Network, req requestV2) responseV2 {
+// answerV2 evaluates one batched v2 request: float64 frames both ways.
+func answerV2(run evalFunc, req requestV2) responseV2 {
 	resp := responseV2{ID: req.ID}
-	if len(req.Inputs) == 0 {
-		resp.Err = "validate: empty query batch"
-		return resp
-	}
-	xs := make([]*tensor.Tensor, len(req.Inputs))
-	for i, wt := range req.Inputs {
-		x, err := fromWire(wt)
-		if err != nil {
-			resp.Err = err.Error()
-			return resp
-		}
-		xs[i] = x
-	}
-	outs, err := evalOn(clone, xs)
+	outs, err := evalWire(run, req.Inputs, fromWire)
 	if err != nil {
 		resp.Err = err.Error()
 		return resp
@@ -680,55 +581,12 @@ func answer(clone *nn.Network, req requestV2) responseV2 {
 	return resp
 }
 
-// answerV3 evaluates one v3 batched request on a float32 clone — the
-// reduced-precision serving hot path: float32 frames in, float32
-// kernels, float32 frames out.
-func answerV3(clone *nn.NetF32, req requestV3) responseV3 {
+// answerV3 evaluates one batched v3 request: float32 frames both ways,
+// widened at the evaluator boundary (exactly, so the float32 fleet sees
+// the wire's values and answers its own).
+func answerV3(run evalFunc, req requestV3) responseV3 {
 	resp := responseV3{ID: req.ID}
-	if len(req.Inputs) == 0 {
-		resp.Err = "validate: empty query batch"
-		return resp
-	}
-	xs := make([]*tensor.T32, len(req.Inputs))
-	for i, wt := range req.Inputs {
-		x, err := fromWire32T32(wt)
-		if err != nil {
-			resp.Err = err.Error()
-			return resp
-		}
-		xs[i] = x
-	}
-	outs, err := evalOnF32(clone, xs)
-	if err != nil {
-		resp.Err = err.Error()
-		return resp
-	}
-	resp.Outputs = make([]wireTensor32, len(outs))
-	for i, o := range outs {
-		resp.Outputs[i] = wireTensor32{Shape: append([]int(nil), o.Shape()...), Data: o.Data()}
-	}
-	return resp
-}
-
-// answerV3On64 serves a v3 session on a float64 clone (the server was
-// not started with an F32 fleet): inputs widen to float64, evaluation
-// is the bit-exact engine, and only the frames are float32.
-func answerV3On64(clone *nn.Network, req requestV3) responseV3 {
-	resp := responseV3{ID: req.ID}
-	if len(req.Inputs) == 0 {
-		resp.Err = "validate: empty query batch"
-		return resp
-	}
-	xs := make([]*tensor.Tensor, len(req.Inputs))
-	for i, wt := range req.Inputs {
-		x, err := fromWire32(wt)
-		if err != nil {
-			resp.Err = err.Error()
-			return resp
-		}
-		xs[i] = x
-	}
-	outs, err := evalOn(clone, xs)
+	outs, err := evalWire(run, req.Inputs, fromWire32)
 	if err != nil {
 		resp.Err = err.Error()
 		return resp
@@ -740,64 +598,20 @@ func answerV3On64(clone *nn.Network, req requestV3) responseV3 {
 	return resp
 }
 
-// evalOnF32 is evalOn for the float32 inference path: same-shaped
-// multi-input batches as one batched forward pass (bit-identical per
-// sample to individual float32 forwards), anything else per sample.
-// NetF32 keeps no batch caches, so there is nothing to release; shape
-// panics come back as errors exactly as on the float64 path.
-func evalOnF32(net *nn.NetF32, xs []*tensor.T32) (out []*tensor.T32, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("query rejected: %v", r)
-		}
-	}()
-	if len(xs) > 1 && sameShapes(xs) {
-		logits := net.ForwardBatch(tensor.Stack(xs))
-		out = make([]*tensor.T32, len(xs))
-		for i := range xs {
-			out[i] = logits.Sample(i).Clone()
-		}
-		return out, nil
+// evalWire validates a v2/v3 request's wire tensors and evaluates them.
+func evalWire[W any](run evalFunc, ws []W, from func(W) (*tensor.Tensor, error)) ([]*tensor.Tensor, error) {
+	if len(ws) == 0 {
+		return nil, fmt.Errorf("validate: empty query batch")
 	}
-	out = make([]*tensor.T32, len(xs))
-	for i, x := range xs {
-		out[i] = net.Forward(x).Clone()
-	}
-	return out, nil
-}
-
-// evalOn runs the queries on the net: same-shaped multi-input batches
-// as one batched forward pass (bit-identical per sample to individual
-// forwards), anything else per sample. A panic from a malformed input
-// shape comes back as an error, leaving the network usable; batch
-// caches are released even then — a mid-stack shape panic happens after
-// earlier layers already cached batch state, which must not ride back
-// into a clone pool pinning heap.
-func evalOn(net *nn.Network, xs []*tensor.Tensor) (out []*tensor.Tensor, err error) {
-	if len(xs) > 1 && sameShapes(xs) {
-		defer net.ReleaseBatchState()
-		defer func() {
-			if r := recover(); r != nil {
-				out, err = nil, fmt.Errorf("query rejected: %v", r)
-			}
-		}()
-		logits := net.ForwardBatch(tensor.Stack(xs))
-		out = make([]*tensor.Tensor, len(xs))
-		for i := range xs {
-			out[i] = logits.Sample(i).Clone()
+	xs := make([]*tensor.Tensor, len(ws))
+	for i, w := range ws {
+		x, err := from(w)
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
+		xs[i] = x
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("query rejected: %v", r)
-		}
-	}()
-	out = make([]*tensor.Tensor, len(xs))
-	for i, x := range xs {
-		out[i] = net.Forward(x).Clone()
-	}
-	return out, nil
+	return run(xs)
 }
 
 // DialOptions bound the client side of a served-IP connection, so a
@@ -833,23 +647,12 @@ type DialOptions struct {
 	//     bit-exact path's QuantizedOutputs verdicts. Dialing a pre-v4
 	//     server with WireQuant fails with a descriptive version
 	//     error.
-	//   - WireAuto (the zero value) — defer to the deprecated
-	//     F32/Quant aliases below, landing on WireGob when they are
-	//     unset too.
+	//   - WireAuto (the zero value) — WireGob.
 	Wire Wire
-	// F32 requests WireF32 when Wire is WireAuto. On a WireQuant
-	// session it keeps its second, orthogonal meaning: evaluate on the
-	// server's float32 fleet (when it has one) while the frames stay
-	// quantised.
-	//
-	// Deprecated: set Wire: WireF32 instead; as a dialect request this
-	// boolean is the pre-enum spelling and is honoured as an alias.
+	// F32, on a WireQuant session, asks for evaluation on the server's
+	// float32 fleet (when it has one) while the frames stay quantised.
+	// Other dialects ignore it: WireF32 already means float32.
 	F32 bool
-	// Quant requests WireQuant when Wire is WireAuto.
-	//
-	// Deprecated: set Wire: WireQuant instead; this boolean is the
-	// pre-enum spelling and is honoured as an alias.
-	Quant bool
 	// Decimals is the fixed-point precision plain Query/QueryBatch
 	// calls use on a v4 session (suite replay passes the suite's own
 	// precision through QueryQuant instead). 0 means 6, the
@@ -878,23 +681,6 @@ func (o DialOptions) withDefaults() DialOptions {
 		o.Decimals = 6
 	}
 	return o
-}
-
-// resolveWire is the one place the deprecated F32/Quant aliases fold
-// into the Wire enum. An explicit Wire wins; otherwise Quant outranks
-// F32 (their legacy combination meant "quant dialect, float32
-// evaluation"), and nothing set means the v2 default.
-func (o DialOptions) resolveWire() Wire {
-	if o.Wire != WireAuto {
-		return o.Wire
-	}
-	if o.Quant {
-		return WireQuant
-	}
-	if o.F32 {
-		return WireF32
-	}
-	return WireGob
 }
 
 // RemoteIP is the user-side client of a served IP. It implements
@@ -953,7 +739,7 @@ func DialWith(addr string, opts DialOptions) (*RemoteIP, error) {
 	// exception: a v4 echo to a quant hello is accepted, because v5 is
 	// v4 framing plus the store capability — the session downgrades to
 	// the per-connection v4 path bit-identically to a pre-v5 client.)
-	wire := opts.resolveWire()
+	wire := opts.Wire
 	want := byte(protocolV2)
 	switch wire {
 	case WireQuant:

@@ -3,6 +3,7 @@ package validate
 import (
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -196,6 +197,91 @@ func TestV1ClientGetsVersionMismatchError(t *testing.T) {
 	}
 	if !strings.Contains(resp.Err, "protocol version mismatch") {
 		t.Fatalf("v1 client error = %q, want a version mismatch explanation", resp.Err)
+	}
+}
+
+// TestV1OpenersNeverReset: the replies to connections the server will
+// not serve — a bare-gob v1 request, and a preamble with version byte 1
+// followed by a request — must always arrive intact. The server answers
+// after reading only 5 bytes; closing over the rest of the request
+// resets the connection (RFC 1122 §4.2.2.13), failing the client's
+// write or discarding the reply in flight, so the race shows within a
+// few hundred tries unless the server lingers and drains.
+func TestV1OpenersNeverReset(t *testing.T) {
+	_, addr := startServer(t)
+	x := testInputs(1, 41)[0]
+	openers := []struct {
+		name string
+		open func(net.Conn) error
+	}{
+		{"bare-gob", func(conn net.Conn) error {
+			if err := gob.NewEncoder(conn).Encode(queryRequest{Input: toWire(x)}); err != nil {
+				return err
+			}
+			var resp queryResponse
+			if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
+				return err
+			}
+			if !strings.Contains(resp.Err, "protocol version mismatch") {
+				return fmt.Errorf("reply %q names no version mismatch", resp.Err)
+			}
+			return nil
+		}},
+		{"preamble-v1", func(conn net.Conn) error {
+			if _, err := conn.Write(preambleV(1)); err != nil {
+				return err
+			}
+			if err := gob.NewEncoder(conn).Encode(queryRequest{Input: toWire(x)}); err != nil {
+				return err
+			}
+			var hello [5]byte
+			if _, err := io.ReadFull(conn, hello[:]); err != nil {
+				return err
+			}
+			if string(hello[:4]) != string(protocolMagic[:]) || hello[4] != protocolV2 {
+				return fmt.Errorf("echo %q, want the magic and v%d", hello[:], protocolV2)
+			}
+			return nil
+		}},
+	}
+	for i := 0; i < 300; i++ {
+		for _, o := range openers {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			err = o.open(conn)
+			conn.Close()
+			if err != nil {
+				t.Fatalf("%s opener, try %d: %v", o.name, i, err)
+			}
+		}
+	}
+}
+
+// TestCloseCutsLingerShort: Server.Close must not wait out the
+// lingering drain of a client that got its v1 reply and keeps the
+// connection open.
+func TestCloseCutsLingerShort(t *testing.T) {
+	srv, addr := startServer(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := gob.NewEncoder(conn).Encode(queryRequest{Input: toWire(testInputs(1, 41)[0])}); err != nil {
+		t.Fatal(err)
+	}
+	var resp queryResponse
+	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	srv.Close()
+	if d := time.Since(start); d >= lingerTimeout/2 {
+		t.Fatalf("Close took %v with a lingering connection open, want well under the %v drain bound", d, lingerTimeout)
 	}
 }
 

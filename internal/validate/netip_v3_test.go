@@ -2,13 +2,16 @@ package validate
 
 import (
 	"encoding/gob"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -25,7 +28,7 @@ func startServerF32(t *testing.T) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeWith(l, goldenNet(), ServerOptions{Workers: 2, F32: true})
+	srv := ServeWith(l, goldenNet(), ServerOptions{Workers: 2, Wire: WireF32})
 	t.Cleanup(func() { srv.Close() })
 	return srv, srv.Addr()
 }
@@ -41,7 +44,7 @@ const f32Tolerance = 1e-4
 func TestV3ReplayWithinTolerance(t *testing.T) {
 	_, addr := startServerF32(t)
 	suite := goldenSuite(t, 8, ExactOutputs)
-	ip, err := DialWith(addr, DialOptions{F32: true})
+	ip, err := DialWith(addr, DialOptions{Wire: WireF32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +75,7 @@ func TestV3ReplayWithinTolerance(t *testing.T) {
 func TestV3ReplayFailsBitExact(t *testing.T) {
 	_, addr := startServerF32(t)
 	suite := goldenSuite(t, 6, ExactOutputs)
-	ip, err := DialWith(addr, DialOptions{F32: true})
+	ip, err := DialWith(addr, DialOptions{Wire: WireF32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +100,7 @@ func TestV3OutputsCloseToF64(t *testing.T) {
 		} else {
 			_, addr = startServer(t) // float64 evaluation, float32 frames only
 		}
-		ip, err := DialWith(addr, DialOptions{F32: true})
+		ip, err := DialWith(addr, DialOptions{Wire: WireF32})
 		if err != nil {
 			t.Fatalf("fleet=%v: %v", f32Fleet, err)
 		}
@@ -190,7 +193,7 @@ func TestF32ClientAgainstV2Server(t *testing.T) {
 		// client version, ends the connection.
 		conn.Write(preambleV(protocolV2))
 	}()
-	_, err = DialWith(l.Addr().String(), DialOptions{F32: true})
+	_, err = DialWith(l.Addr().String(), DialOptions{Wire: WireF32})
 	if err == nil {
 		t.Fatal("F32 dial to a v2-only server succeeded")
 	}
@@ -232,7 +235,7 @@ func TestFutureClientAgainstV3Server(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeWith(l, goldenNet(), ServerOptions{Workers: 2, F32: true, MaxVersion: protocolV3})
+	srv := ServeWith(l, goldenNet(), ServerOptions{Workers: 2, Wire: WireF32, MaxVersion: protocolV3})
 	t.Cleanup(func() { srv.Close() })
 	addr := srv.Addr()
 	conn, err := net.Dial("tcp", addr)
@@ -270,7 +273,7 @@ func TestFutureClientAgainstV3Server(t *testing.T) {
 // new parameters.
 func TestV3SyncParamsRequantisesFleet(t *testing.T) {
 	srv, addr := startServerF32(t)
-	ip, err := DialWith(addr, DialOptions{F32: true})
+	ip, err := DialWith(addr, DialOptions{Wire: WireF32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +314,7 @@ func TestV3SyncParamsRequantisesFleet(t *testing.T) {
 // kernel sequence, so identical widened outputs.
 func TestPooledF32IPMatchesRemote(t *testing.T) {
 	_, addr := startServerF32(t)
-	remote, err := DialWith(addr, DialOptions{F32: true})
+	remote, err := DialWith(addr, DialOptions{Wire: WireF32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,4 +393,102 @@ func (ip nudgedIP) Query(x *tensor.Tensor) (*tensor.Tensor, error) {
 		out.Data()[i] += ip.delta
 	}
 	return out, nil
+}
+
+// TestV3F32FleetSpecialValuesBitExact: the float32 fleet converts at
+// the evaluator boundary — a v3 frame is widened by the codec, narrowed
+// back for the float32 kernels, and the outputs widened again — which
+// must lose nothing. A v3 session against a float32-fleet server, with
+// coalescing on and off, answers NaN, ±Inf, −0 and subnormal float32
+// inputs bit for bit as Network.ConvertF32().Forward does locally: on
+// the golden network, and on a pass-through network whose outputs are
+// its inputs, so every special value must come back with its own bits.
+func TestV3F32FleetSpecialValuesBitExact(t *testing.T) {
+	specials := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.Copysign(0, -1)),
+		math.Float32frombits(1),          // smallest subnormal
+		math.Float32frombits(0x007fffff), // largest subnormal
+		-math.Float32frombits(0x00012345),
+	}
+	var xs []*tensor.Tensor
+	for i, v := range specials {
+		// One input seeded with the value at a few pixels, one made of
+		// it entirely: finite neighbours and a whole-frame flood both.
+		x := testInputs(1, int64(70+i))[0]
+		for j := i; j < x.Size(); j += 17 {
+			x.Data()[j] = float64(v)
+		}
+		flood := tensor.New(x.Shape()...)
+		for j := range flood.Data() {
+			flood.Data()[j] = float64(v)
+		}
+		xs = append(xs, x, flood)
+	}
+	nets := []struct {
+		name string
+		net  func() *nn.Network
+	}{
+		{"golden", goldenNet},
+		{"passthrough", func() *nn.Network { return nn.NewNetwork(nn.NewFlatten("flat")) }},
+	}
+	for _, tc := range nets {
+		ref := tc.net().ConvertF32()
+		want := make([]*tensor.T32, len(xs))
+		for i, x := range xs {
+			want[i] = ref.Forward(x.F32()).Clone()
+		}
+		check := func(name string, i int, got *tensor.Tensor) {
+			t.Helper()
+			if got.Size() != want[i].Size() {
+				t.Fatalf("%s input %d: %d outputs, want %d", name, i, got.Size(), want[i].Size())
+			}
+			for j, w := range want[i].Data() {
+				if g := got.Data()[j]; math.Float64bits(g) != math.Float64bits(float64(w)) {
+					t.Fatalf("%s input %d output %d = %v (%#x), local float32 forward gives %v (%#x)",
+						name, i, j, g, math.Float64bits(g), w, math.Float64bits(float64(w)))
+				}
+			}
+		}
+		for _, window := range []time.Duration{0, coalesceWindow} {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := ServeWith(l, tc.net(), ServerOptions{Workers: 2, Wire: WireF32, CoalesceWindow: window, CoalesceBatch: 4})
+			ip, err := DialWith(srv.Addr(), DialOptions{Wire: WireF32})
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s coalesce=%v", tc.name, window)
+			// Single queries, concurrent so a coalescing server batches them.
+			var wg sync.WaitGroup
+			outs := make([]*tensor.Tensor, len(xs))
+			errs := make([]error, len(xs))
+			for i, x := range xs {
+				wg.Add(1)
+				go func(i int, x *tensor.Tensor) {
+					defer wg.Done()
+					outs[i], errs[i] = ip.Query(x)
+				}(i, x)
+			}
+			wg.Wait()
+			for i := range xs {
+				if errs[i] != nil {
+					t.Fatalf("%s query %d: %v", name, i, errs[i])
+				}
+				check(name+" single", i, outs[i])
+			}
+			// And the whole set as one batched exchange.
+			batch, err := ip.QueryBatch(xs)
+			if err != nil {
+				t.Fatalf("%s batch: %v", name, err)
+			}
+			for i, out := range batch {
+				check(name+" batch", i, out)
+			}
+			ip.Close()
+			srv.Close()
+		}
+	}
 }

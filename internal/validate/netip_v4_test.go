@@ -37,7 +37,7 @@ func startServerMax(t *testing.T, network *nn.Network, maxVersion byte) (*Server
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeWith(l, network, ServerOptions{Workers: 2, F32: true, MaxVersion: maxVersion})
+	srv := ServeWith(l, network, ServerOptions{Workers: 2, Wire: WireF32, MaxVersion: maxVersion})
 	t.Cleanup(func() { srv.Close() })
 	return srv, srv.Addr()
 }
@@ -45,7 +45,7 @@ func startServerMax(t *testing.T, network *nn.Network, maxVersion byte) (*Server
 // dialQuant dials a v4 session.
 func dialQuant(t *testing.T, addr string, f32 bool) *RemoteIP {
 	t.Helper()
-	ip, err := DialWith(addr, DialOptions{Quant: true, F32: f32})
+	ip, err := DialWith(addr, DialOptions{Wire: WireQuant, F32: f32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestV4F32FleetMatchesLocalF32Quantized(t *testing.T) {
 // output equals the local output rounded to that precision.
 func TestV4QueryBatchDequantises(t *testing.T) {
 	_, addr := startServerV4(t)
-	ip, err := DialWith(addr, DialOptions{Quant: true, Decimals: 4})
+	ip, err := DialWith(addr, DialOptions{Wire: WireQuant, Decimals: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestV4QueryBatchDequantises(t *testing.T) {
 func TestV4QuantAgainstOldServers(t *testing.T) {
 	for _, maxV := range []byte{protocolV2, protocolV3} {
 		_, addr := startServerMax(t, goldenNet(), maxV)
-		_, err := DialWith(addr, DialOptions{Quant: true})
+		_, err := DialWith(addr, DialOptions{Wire: WireQuant})
 		if err == nil {
 			t.Fatalf("quant dial against a v%d-max server succeeded", maxV)
 		}
@@ -240,7 +240,7 @@ func TestQueryQuantOnPlainSession(t *testing.T) {
 		t.Fatal("plain dial negotiated the quant dialect")
 	}
 	_, qerr := ip.QueryQuant(testInputs(1, 95), nil, 6)
-	if qerr == nil || !strings.Contains(qerr.Error(), "DialOptions.Quant") {
+	if qerr == nil || !strings.Contains(qerr.Error(), "Wire: WireQuant") {
 		t.Fatalf("QueryQuant on a v2 session = %v, want a dial-options explanation", qerr)
 	}
 	// The session itself stays usable.
@@ -288,7 +288,7 @@ func TestV4ReplayEquivalenceGrid(t *testing.T) {
 			if replicas == 1 {
 				ip = dialQuant(t, addrs[0], f32)
 			} else {
-				cluster, err := DialShards(addrs, DialOptions{Quant: true, F32: f32})
+				cluster, err := DialShards(addrs, DialOptions{Wire: WireQuant, F32: f32})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -444,9 +444,9 @@ func matrixDial(t *testing.T, clientV byte, addr string) error {
 	opts := DialOptions{ReadTimeout: 10 * time.Second}
 	switch clientV {
 	case protocolV3:
-		opts.F32 = true
+		opts.Wire = WireF32
 	case protocolV5:
-		opts.Quant = true
+		opts.Wire = WireQuant
 	}
 	ip, err := DialWith(addr, opts)
 	if err != nil {

@@ -110,7 +110,7 @@ func startServerStore(t *testing.T) (*Server, string, *FrameStore) {
 		t.Fatal(err)
 	}
 	store := NewFrameStore(0, 0)
-	srv := ServeWith(l, goldenNet(), ServerOptions{Workers: 2, F32: true, FrameStore: store})
+	srv := ServeWith(l, goldenNet(), ServerOptions{Workers: 2, Wire: WireF32, FrameStore: store})
 	t.Cleanup(func() { srv.Close() })
 	return srv, srv.Addr(), store
 }
@@ -203,11 +203,11 @@ func TestV5CacheBoundsMismatchSelfHeals(t *testing.T) {
 		if lerr != nil {
 			t.Fatal(lerr)
 		}
-		sopts.Workers, sopts.F32 = 2, true
+		sopts.Workers, sopts.Wire = 2, WireF32
 		sopts.FrameStore = NewFrameStore(2, 1<<20) // tiny store too: probe misses must also heal
 		srv := ServeWith(l, goldenNet(), sopts)
 		defer srv.Close()
-		dopts.Quant = true
+		dopts.Wire = WireQuant
 		ip, derr := DialWith(srv.Addr(), dopts)
 		if derr != nil {
 			t.Fatal(derr)

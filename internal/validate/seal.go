@@ -105,9 +105,14 @@ func OpenSuite(r io.Reader, key []byte) (*Suite, error) {
 	if n > maxPayload {
 		return nil, fmt.Errorf("validate: sealed payload of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// Read what arrives rather than allocating the declared length up
+	// front: an 8-byte file must not cost a gigabyte.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return nil, fmt.Errorf("validate: read payload: %w", err)
+	}
+	if uint64(len(payload)) != n {
+		return nil, fmt.Errorf("validate: read payload: %w", io.ErrUnexpectedEOF)
 	}
 	sig := make([]byte, sha256.Size)
 	if _, err := io.ReadFull(r, sig); err != nil {

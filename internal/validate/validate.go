@@ -98,9 +98,8 @@ func queryRange(lo, hi int) string {
 	return fmt.Sprintf("queries %d-%d", lo, hi)
 }
 
-// sameShapes reports whether every tensor has the shape of the first,
-// at either element precision.
-func sameShapes[E tensor.Num](xs []*tensor.Dense[E]) bool {
+// sameShapes reports whether every tensor has the shape of the first.
+func sameShapes(xs []*tensor.Tensor) bool {
 	for _, x := range xs[1:] {
 		if !x.SameShape(xs[0]) {
 			return false

@@ -4,19 +4,15 @@ import "fmt"
 
 // Wire names a wire dialect of the served-IP protocol family — the one
 // enum behind the CLI's -wire gob|f32|quant flag, DialOptions.Wire,
-// ServerOptions.Wire and ReplayConfig.Wire. It replaces the F32/Quant
-// boolean sprawl those options accreted: one value states which frames
-// a session carries instead of three flags whose combinations had to
-// be cross-checked at every call site.
+// ServerOptions.Wire and ReplayConfig.Wire: one value states which
+// frames a session carries.
 type Wire int
 
 const (
 	// WireAuto is the zero value: "no preference stated". Dialling
-	// resolves it through the deprecated DialOptions.F32/Quant aliases
-	// and lands on WireGob when those are unset too; replay resolves it
-	// to the comparison native to the session (the quantised wire
-	// verdict when the suite and session support it, the generic float
-	// comparison otherwise).
+	// resolves it to WireGob; replay resolves it to the comparison
+	// native to the session (the quantised wire verdict when the suite
+	// and session support it, the generic float comparison otherwise).
 	WireAuto Wire = iota
 	// WireGob is protocol v2: gob-framed float64 tensors in both
 	// directions — the bit-exact default dialect.

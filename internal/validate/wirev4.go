@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/nn"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
@@ -356,63 +355,75 @@ func refBase(refs []quant.Frame, i int) (quant.Frame, bool) {
 	return nil, true
 }
 
-// encodeQuantOutputs quantises and delta-encodes evaluated outputs,
-// reading the values through at so the float64 and float32 fleets
-// share one encoder.
-func encodeQuantOutputs(n int, shape func(int) []int, at func(i, j int) float64, size func(int) int, sf *storedFrameV4) []wireQuant {
-	outs := make([]wireQuant, n)
-	var prev quant.Frame
-	for i := 0; i < n; i++ {
-		f := make(quant.Frame, size(i))
-		for j := range f {
-			f[j] = quant.QuantizeValue(at(i, j), sf.scale)
+// resolveV4 resolves one v4/v5 request to its replay frame, serially
+// in stream order so the session cache mirrors the client's registry.
+// A nil frame comes with the response that answers the request without
+// an evaluation: NeedFrame or an error.
+func (s *Server) resolveV4(version byte, cache *frameCacheV4, req requestV4) (*storedFrameV4, responseV4) {
+	resp := responseV4{ID: req.ID}
+	if req.Frame != nil {
+		sf, err := resolveFrameV4(req.Frame)
+		if err != nil {
+			resp.Err = err.Error()
+			return nil, resp
 		}
+		cache.insert(req.Seq, sf)
+		if version >= protocolV5 {
+			// Content-address the body under a key this side computed
+			// from the received bytes — a client-claimed hash can never
+			// bind foreign content.
+			s.store.insert(frameKey(req.Frame), sf)
+		}
+		return sf, resp
+	}
+	if sf, ok := cache.lookup(req.Seq); ok {
+		return sf, resp
+	}
+	if version < protocolV5 {
+		resp.Err = fmt.Sprintf("validate: replay frame %d is not in this session's cache window", req.Seq)
+		return nil, resp
+	}
+	if len(req.Hash) > 0 {
+		if sf, ok := s.store.lookup(string(req.Hash)); ok {
+			// Probe hit: pin the stored frame into this session's cache
+			// under the client's seq so later back-references resolve.
+			cache.insert(req.Seq, sf)
+			return sf, resp
+		}
+	}
+	// Anything unresolvable on a v5 session — a probe whose hash the
+	// store misses, or a back-reference outside this session's window —
+	// is answered NeedFrame: the client re-sends the body and the
+	// exchange self-heals.
+	resp.NeedFrame = true
+	return nil, resp
+}
+
+// answerV4 evaluates one v4/v5 request's resolved frame and quantises
+// each output at the frame's precision, delta-encoded against its
+// reference frame (or the previous output). On the float64 clones the
+// outputs are exactly the QuantizedOutputs view of a v2 replay; on the
+// float32 fleet each value was widened exactly from float32 — the same
+// computation a local QuantizedOutputs replay of the float32 path
+// performs.
+func answerV4(run evalFunc, sf *storedFrameV4, id uint64) responseV4 {
+	resp := responseV4{ID: id}
+	outs, err := run(sf.inputs)
+	if err != nil {
+		resp.Err = err.Error()
+		return resp
+	}
+	resp.Outputs = make([]wireQuant, len(outs))
+	var prev quant.Frame
+	for i, o := range outs {
+		f := quant.QuantizeFrame(o.Data(), sf.scale)
 		base, haveRefs := refBase(sf.refs, i)
 		if !haveRefs {
 			base = prev
 		}
-		outs[i] = wireQuant{Shape: append([]int(nil), shape(i)...), Data: quant.AppendFrame(nil, f, base)}
+		resp.Outputs[i] = wireQuant{Shape: append([]int(nil), o.Shape()...), Data: quant.AppendFrame(nil, f, base)}
 		prev = f
 	}
-	return outs
-}
-
-// answerV4 evaluates one v4 request's resolved frame on a float64
-// clone — the bit-exact engine, so the quantised outputs are exactly
-// the QuantizedOutputs view of a v2 replay.
-func answerV4(clone *nn.Network, sf *storedFrameV4, id uint64) responseV4 {
-	resp := responseV4{ID: id}
-	outs, err := evalOn(clone, sf.inputs)
-	if err != nil {
-		resp.Err = err.Error()
-		return resp
-	}
-	resp.Outputs = encodeQuantOutputs(len(outs),
-		func(i int) []int { return outs[i].Shape() },
-		func(i, j int) float64 { return outs[i].Data()[j] },
-		func(i int) int { return outs[i].Size() }, sf)
-	return resp
-}
-
-// answerV4On32 evaluates a v4 frame on the float32 fleet: float32
-// kernels, then each output value widened (exactly) to float64 and
-// quantised — the same computation a local QuantizedOutputs replay of
-// the float32 path performs.
-func answerV4On32(clone *nn.NetF32, sf *storedFrameV4, id uint64) responseV4 {
-	resp := responseV4{ID: id}
-	xs := make([]*tensor.T32, len(sf.inputs))
-	for i, x := range sf.inputs {
-		xs[i] = x.F32()
-	}
-	outs, err := evalOnF32(clone, xs)
-	if err != nil {
-		resp.Err = err.Error()
-		return resp
-	}
-	resp.Outputs = encodeQuantOutputs(len(outs),
-		func(i int) []int { return outs[i].Shape() },
-		func(i, j int) float64 { return float64(outs[i].Data()[j]) },
-		func(i int) int { return outs[i].Size() }, sf)
 	return resp
 }
 
@@ -497,7 +508,7 @@ func (r *RemoteIP) QueryQuant(xs []*tensor.Tensor, refs []quant.Frame, decimals 
 func (r *RemoteIP) queryQuant(xs []*tensor.Tensor, refs []quant.Frame, decimals int) ([]quant.Frame, [][]int, error) {
 	if r.version < protocolV4 {
 		return nil, nil, &QueryError{Msg: fmt.Sprintf(
-			"validate: quantised queries need a v%d session — dial with DialOptions.Quant", protocolV4)}
+			"validate: quantised queries need a v%d session — dial with Wire: WireQuant", protocolV4)}
 	}
 	if len(xs) == 0 {
 		return nil, nil, &QueryError{Msg: "validate: empty query batch"}

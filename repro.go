@@ -107,9 +107,8 @@ type (
 
 // Wire dialects, mirroring the CLI's -wire gob|f32|quant flag.
 const (
-	// WireAuto defers the dialect choice (DialOptions: the deprecated
-	// F32/Quant aliases, then gob; ReplayConfig: the session-native
-	// comparison).
+	// WireAuto defers the dialect choice (DialOptions: gob;
+	// ReplayConfig: the session-native comparison).
 	WireAuto = validate.WireAuto
 	// WireGob is protocol v2: gob-framed float64 tensors, bit-exact.
 	WireGob = validate.WireGob
