@@ -1,6 +1,6 @@
 // Package parallel is a stub of repro/internal/parallel for
 // poolcontract fixtures: same shapes, serial execution. The analyzer
-// matches the Pool type and For/Each by package-path tail, so this
+// matches the Pool type and For/Claim/Each by package-path tail, so this
 // stub exercises the same code paths as the real pool.
 package parallel
 
@@ -20,6 +20,13 @@ func (p *Pool) Workers() int { return p.n }
 func (p *Pool) For(n int, fn func(worker, start, end int)) {
 	if n > 0 {
 		fn(0, 0, n)
+	}
+}
+
+// Claim runs the callback once per index.
+func (p *Pool) Claim(n int, fn func(worker, i int)) {
+	for i := 0; i < n; i++ {
+		fn(0, i)
 	}
 }
 

@@ -118,3 +118,52 @@ func annotated(p *parallel.Pool, n int) int {
 	})
 	return mode
 }
+
+// claimWorkerFold folds into per-worker slots inside a Claim region:
+// which items a worker claims depends on the schedule, so the worker
+// id pins nothing and the fold order is schedule-dependent.
+func claimWorkerFold(p *parallel.Pool, xs []float64) float64 {
+	acc := make([]float64, p.Workers())
+	p.Claim(len(xs), func(w, i int) {
+		acc[w] += xs[i] // want `Claim callback writes acc\[w\] through captured state with no index derived from the item`
+	})
+	var total float64
+	for _, a := range acc {
+		total += a
+	}
+	return total
+}
+
+// claimSharedScalar mutates a captured scalar from every worker.
+func claimSharedScalar(p *parallel.Pool, xs []float64) float64 {
+	var total float64
+	p.Claim(len(xs), func(w, i int) {
+		total += xs[i] // want `assigns to captured variable total`
+	})
+	return total
+}
+
+// claimLocalIndex writes through a local that is not computed from
+// the item index: every item hits the same slot.
+func claimLocalIndex(p *parallel.Pool, xs, ys []float64) {
+	p.Claim(len(xs), func(w, i int) {
+		k := len(ys) - 1
+		ys[k] = xs[i] // want `Claim callback writes ys\[k\]`
+	})
+}
+
+// claimPerItem writes per-item slots, directly and through locals
+// computed from the item index, and keeps per-worker scratch local:
+// the result is combined by index after the region.
+func claimPerItem(p *parallel.Pool, xs, ys []float64, pairs [][2]float64, scratch [][]float64) {
+	p.Claim(len(xs), func(w, i int) {
+		buf := scratch[w]
+		buf[0] = xs[i]
+		ys[i] = 2 * buf[0]
+		row, col := i/2, i%2
+		pairs[row][col] = xs[i]
+		for k, x := range xs[i : i+1] {
+			ys[i+k] += x
+		}
+	})
+}

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/attack"
 	"repro/internal/data"
@@ -114,8 +115,8 @@ type CampaignResult struct {
 
 // mix64 is the splitmix64 finaliser; trialSeed chains it over the
 // attack and trial coordinates so every trial's RNG stream is a pure
-// function of (Seed, attack, trial) — independent of how the
-// parallel.Pool partitions trials over workers. The attack coordinate
+// function of (Seed, attack, trial) — independent of which worker
+// claims the trial. The attack coordinate
 // spans (kind, magnitude) but NOT the mode, so every mode column
 // measures the same edit sequence and the mode comparison is per-trial
 // apples-to-apples (for every kind but adaptive, whose edit depends on
@@ -231,10 +232,21 @@ func campaignAttack(kind string, mag float64, sv *validate.Suite, victims *data.
 
 // RunCampaign sweeps detection rate over kinds × modes × magnitudes.
 // The suite must be built on (or opened against) net; victims supplies
-// attack triggers. Trials run on a parallel.Pool with per-worker
-// network clones; per-trial RNG seeds derive from (Seed, cell, trial)
-// and cells aggregate by order-independent counting, so the result is
-// bit-identical at any worker count.
+// attack triggers.
+//
+// The work items are edits. The worker that claims an item builds its
+// edit once on the worker's pinned network clone, replays the suite
+// under every mode view the edit serves, and reverts it. The trial
+// seed leaves the mode out, and every attacker but adaptive reads only
+// what all views share (the tests' inputs, Decimals and Tol), so one
+// item per (kind, magnitude, trial) serves every mode. The adaptive
+// attacker's oracle is the mode's own view, so it gets one item per
+// (mode, magnitude, trial). Workers claim items dynamically
+// (parallel.Pool.Claim), each replay's verdict goes to its own (kind,
+// mode, magnitude, trial) slot, and the cells are counted from the
+// slots in kinds-major order: the result is bit-identical at any
+// worker count and schedule. If items fail, the error of the lowest
+// failing item is returned.
 func RunCampaign(net *nn.Network, suite *validate.Suite, victims *data.Dataset, cfg CampaignConfig) (*CampaignResult, error) {
 	if len(cfg.Kinds) == 0 {
 		cfg.Kinds = CampaignKinds
@@ -251,84 +263,108 @@ func RunCampaign(net *nn.Network, suite *validate.Suite, victims *data.Dataset, 
 	if victims == nil || victims.Len() == 0 {
 		return nil, fmt.Errorf("experiments: campaign needs a victim pool")
 	}
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = parallel.Auto()
+	}
 
 	// One suite view per mode: same tests, the cell's comparison.
 	views := make([]*validate.Suite, len(cfg.Modes))
+	allModes := make([]int, len(cfg.Modes))
 	for mi, m := range cfg.Modes {
 		sv := *suite
 		sv.Mode = m
 		sv.Decimals = cfg.Decimals
 		views[mi] = &sv
+		allModes[mi] = mi
 	}
 
-	type cellSpec struct {
-		kind string
-		mode validate.CompareMode
-		mag  float64
-		atk  trialAttack
-		view *validate.Suite
-		// attack indexes the (kind, magnitude) pair, shared across
-		// modes: it seeds the trials, so every mode replays the same
-		// edit sequence.
-		attack int
+	// edit is one (kind, magnitude) attack and the modes its trials are
+	// scored under.
+	type edit struct {
+		ki, gi int // kind and magnitude indexes
+		atk    trialAttack
+		modes  []int
 	}
-	var cells []cellSpec
+	var edits []edit
 	for ki, kind := range cfg.Kinds {
-		for mi, m := range cfg.Modes {
+		groups := [][]int{allModes}
+		if kind == "adaptive" {
+			groups = make([][]int, len(cfg.Modes))
+			for mi := range groups {
+				groups[mi] = []int{mi}
+			}
+		}
+		for _, modes := range groups {
 			for gi, mag := range cfg.Magnitudes {
-				atk, err := campaignAttack(kind, mag, views[mi], victims, cfg)
+				atk, err := campaignAttack(kind, mag, views[modes[0]], victims, cfg)
 				if err != nil {
 					return nil, err
 				}
-				cells = append(cells, cellSpec{
-					kind: kind, mode: m, mag: mag, atk: atk, view: views[mi],
-					attack: ki*len(cfg.Magnitudes) + gi,
-				})
+				edits = append(edits, edit{ki: ki, gi: gi, atk: atk, modes: modes})
 			}
 		}
 	}
 
-	pool := parallel.NewPool(cfg.Workers)
+	pool := parallel.NewPool(workers)
 	defer pool.Close()
-	workers := pool.Workers()
-	nets := make([]*nn.Network, workers)
+	nets := make([]*nn.Network, pool.Workers())
 	for w := range nets {
 		nets[w] = net.Clone()
 	}
 
-	total := len(cells) * cfg.Trials
-	detected := make([]byte, total)
-	failed := make([]byte, total)
-	errs := make([]error, workers)
+	nm, ng, nt := len(cfg.Modes), len(cfg.Magnitudes), cfg.Trials
+	// slot indexes a (kind, mode, magnitude, trial) verdict in the
+	// kinds-major order of the table's cells.
+	slot := func(ki, mi, gi, ti int) int { return ((ki*nm+mi)*ng+gi)*nt + ti }
+	detected := make([]byte, len(cfg.Kinds)*nm*ng*nt)
+	failed := make([]byte, len(detected))
+	errs := make([]error, len(edits)*nt)
+	// lowestErr is the lowest failed item so far. Items above it are
+	// skipped, and every item below it still runs, so the error
+	// returned does not depend on the schedule.
+	var lowestErr atomic.Int64
+	lowestErr.Store(math.MaxInt64)
 	opts := validate.ValidateOptions{Tolerance: cfg.Tol}
-	pool.For(total, func(worker, start, end int) {
+	pool.Claim(len(errs), func(worker, i int) {
+		if int64(i) > lowestErr.Load() {
+			return
+		}
+		e, ti := edits[i/nt], i%nt
 		wnet := nets[worker] // pinned per-worker clone
-		for i := start; i < end; i++ {
-			if errs[worker] != nil {
-				return
-			}
-			ci, ti := i/cfg.Trials, i%cfg.Trials
-			cell := cells[ci]
-			rng := rand.New(rand.NewSource(trialSeed(cfg.Seed, cell.attack, ti)))
-			p, ok, err := cell.atk(wnet, rng)
+		// The trial seed indexes the (kind, magnitude) pair, not the
+		// mode, so every mode replays the same edit sequence.
+		rng := rand.New(rand.NewSource(trialSeed(cfg.Seed, e.ki*ng+e.gi, ti)))
+		p, ok, err := e.atk(wnet, rng)
+		mode := e.modes[0]
+		for _, mi := range e.modes {
 			if err != nil {
-				errs[worker] = fmt.Errorf("experiments: %s/%s m=%g trial %d: %w", cell.kind, cell.mode, cell.mag, ti, err)
-				return
+				break
 			}
+			mode = mi
+			v := slot(e.ki, mi, e.gi, ti)
 			if !ok {
-				failed[i], detected[i] = 1, 1
+				failed[v], detected[v] = 1, 1
 				continue
 			}
-			caught, err := cell.view.DetectsWith(validate.LocalIP{Net: wnet}, opts)
+			var caught bool
+			caught, err = views[mi].DetectsWith(validate.LocalIP{Net: wnet}, opts)
+			if caught {
+				detected[v] = 1
+			}
+		}
+		if ok {
 			if rerr := p.Revert(wnet); err == nil {
 				err = rerr
 			}
-			if err != nil {
-				errs[worker] = fmt.Errorf("experiments: %s/%s m=%g trial %d: %w", cell.kind, cell.mode, cell.mag, ti, err)
-				return
-			}
-			if caught {
-				detected[i] = 1
+		}
+		if err != nil {
+			errs[i] = fmt.Errorf("experiments: %s/%s m=%g trial %d: %w", cfg.Kinds[e.ki], cfg.Modes[mode], cfg.Magnitudes[e.gi], ti, err)
+			for {
+				low := lowestErr.Load()
+				if int64(i) >= low || lowestErr.CompareAndSwap(low, int64(i)) {
+					break
+				}
 			}
 		}
 	})
@@ -347,14 +383,17 @@ func RunCampaign(net *nn.Network, suite *validate.Suite, victims *data.Dataset, 
 		Decimals:  cfg.Decimals,
 		Tol:       cfg.Tol,
 	}
-	for ci, cell := range cells {
-		cc := CampaignCell{Kind: cell.kind, Mode: cell.mode.String(), Magnitude: cell.mag, Trials: cfg.Trials}
-		for ti := 0; ti < cfg.Trials; ti++ {
-			i := ci*cfg.Trials + ti
-			cc.Detected += int(detected[i])
-			cc.Failed += int(failed[i])
+	for ki, kind := range cfg.Kinds {
+		for mi, m := range cfg.Modes {
+			for gi, mag := range cfg.Magnitudes {
+				cc := CampaignCell{Kind: kind, Mode: m.String(), Magnitude: mag, Trials: nt}
+				for ti := 0; ti < nt; ti++ {
+					cc.Detected += int(detected[slot(ki, mi, gi, ti)])
+					cc.Failed += int(failed[slot(ki, mi, gi, ti)])
+				}
+				res.Cells = append(res.Cells, cc)
+			}
 		}
-		res.Cells = append(res.Cells, cc)
 	}
 	return res, nil
 }

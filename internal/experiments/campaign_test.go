@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -70,6 +73,42 @@ func TestCampaignWorkerIndependence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, again) {
 		t.Fatal("campaign not reproducible on a second run")
+	}
+}
+
+// TestCampaignGolden pins the table against stored results rather
+// than only against itself: testdata/campaign_golden.json and
+// campaign_golden_tol.json are res.JSON() of testCampaignConfig() at
+// Tol 0 and Tol 1e-3, recorded from the trial loop that built every
+// (kind, mode, magnitude) cell's edits separately. Building each edit
+// once and scoring it under every mode must give the same bytes, at
+// every worker count.
+func TestCampaignGolden(t *testing.T) {
+	bed := campaignBed()
+	for _, c := range []struct {
+		file string
+		tol  float64
+	}{{"campaign_golden.json", 0}, {"campaign_golden_tol.json", 1e-3}} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for workers := 1; workers <= 4; workers++ {
+			cfg := testCampaignConfig()
+			cfg.Tol = c.tol
+			cfg.Workers = workers
+			res, err := RunCampaign(bed.net, bed.suite, bed.victims, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := res.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s, %d workers: table differs from the stored one:\n%s", c.file, workers, res.Render())
+			}
+		}
 	}
 }
 
@@ -179,6 +218,24 @@ func TestCampaignValidation(t *testing.T) {
 	cfg = testCampaignConfig()
 	if _, err := RunCampaign(bed.net, bed.suite, nil, cfg); err == nil {
 		t.Fatal("nil victim pool accepted")
+	}
+}
+
+// TestCampaignItemError: an edit the attacker rejects fails the
+// campaign with the lowest failing item's error at every worker count,
+// naming the first mode the edit is scored under.
+func TestCampaignItemError(t *testing.T) {
+	bed := campaignBed()
+	cfg := testCampaignConfig()
+	cfg.Kinds = []string{"sba", "gda", "trojan"}
+	cfg.Magnitudes = []float64{1, 0} // gda and trojan reject magnitude 0
+	const want = "experiments: gda/exact m=0 trial 0: attack: GDA needs positive Steps and LR"
+	for workers := 1; workers <= 4; workers++ {
+		cfg.Workers = workers
+		_, err := RunCampaign(bed.net, bed.suite, bed.victims, cfg)
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("%d workers: error %v, want it to start with %q", workers, err, want)
+		}
 	}
 }
 

@@ -1,10 +1,19 @@
 // Package parallel provides the worker-pool primitives shared by the
-// tensor, coverage, core and train layers. Everything in the repo that
-// fans work out across goroutines goes through For, so the partitioning
-// rules (contiguous, ordered, deterministic) are stated once and relied
-// on everywhere: chunk w covers indexes strictly before chunk w+1, which
-// lets callers merge per-worker results in worker order and obtain the
-// same answer as a serial left-to-right scan.
+// tensor, coverage, core, train and experiments layers. Everything in
+// the repo that fans work out across goroutines goes through For or
+// Pool.Claim, so the partitioning rules are stated once and relied on
+// everywhere.
+//
+// For (and Pool.For) splits [0,n) into contiguous, ordered,
+// deterministic chunks: chunk w covers indexes strictly before chunk
+// w+1, which lets callers merge per-worker results in worker order and
+// obtain the same answer as a serial left-to-right scan.
+//
+// Pool.Claim hands indexes out one at a time to whichever worker asks
+// next, which balances items of uneven cost. It gives no chunk order
+// and no index-to-worker mapping, so its results go by index (out[i])
+// and are combined in index order after the region, never folded per
+// worker.
 package parallel
 
 import (

@@ -1,6 +1,9 @@
 package parallel
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Pool is a long-lived worker pool with stable worker identities. Where
 // For spawns fresh goroutines on every call, a Pool keeps its workers
@@ -12,9 +15,9 @@ import "sync"
 // cost and the per-call state re-setup of For are paid once at pool
 // construction instead of once per minibatch or per request.
 //
-// Dispatch (For, Each) must come from one goroutine at a time; the pool
-// serialises nothing between concurrent dispatchers. Close releases the
-// workers; dispatching on a closed pool panics.
+// Dispatch (For, Claim, Each) must come from one goroutine at a time;
+// the pool serialises nothing between concurrent dispatchers. Close
+// releases the workers; dispatching on a closed pool panics.
 type Pool struct {
 	tasks  []chan poolTask // one channel per worker: pinned dispatch
 	done   sync.WaitGroup  // outstanding chunks of the current region
@@ -85,6 +88,30 @@ func (p *Pool) For(n int, fn func(worker, start, end int)) {
 		lo = hi
 	}
 	p.done.Wait()
+}
+
+// Claim runs fn(worker, i) once for every i in [0,n) on the pool's
+// pinned workers, handing indexes out dynamically: each of the
+// Effective(n, Workers()) workers takes the next unclaimed index from
+// a shared counter until none is left, so a worker that draws cheap
+// items goes on to claim more of them and items of uneven cost keep
+// every worker busy. Claim promises no chunk order and no mapping from
+// index to worker: results go to per-index slots (out[i] = ...) and
+// are combined by index after the region, never folded per worker,
+// whose share of the items depends on the schedule. Per-worker pinned
+// state (network clones, scratch) is as safe as under For. The
+// single-worker case runs inline on the caller's goroutine as worker
+// 0, in index order. Claim returns only after every item has finished.
+func (p *Pool) Claim(n int, fn func(worker, i int)) {
+	if p.closed {
+		panic("parallel: Claim on a closed Pool")
+	}
+	var next atomic.Int64
+	p.For(effective(n, len(p.tasks)), func(w, _, _ int) {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(w, i)
+		}
+	})
 }
 
 // Each runs fn(w) once on every pinned worker goroutine concurrently

@@ -2,7 +2,9 @@ package parallel
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestPoolMatchesForPartitioning: Pool.For must produce exactly the
@@ -164,5 +166,97 @@ func TestPoolSerialInline(t *testing.T) {
 	})
 	if !ran { // no race possible: inline means same goroutine
 		t.Fatal("serial region did not run")
+	}
+}
+
+// TestPoolClaimCoversEveryIndexOnce: every index in [0,n) runs exactly
+// once, on a worker id below Effective(n, Workers()).
+func TestPoolClaimCoversEveryIndexOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		p := NewPool(workers)
+		for _, n := range []int{0, 1, 3, 4, 5, 64, 65} {
+			visits := make([]int32, n)
+			eff := Effective(n, p.Workers())
+			var badWorker atomic.Int32
+			badWorker.Store(-1)
+			p.Claim(n, func(w, i int) {
+				if w < 0 || w >= eff {
+					badWorker.Store(int32(w))
+				}
+				atomic.AddInt32(&visits[i], 1)
+			})
+			if w := badWorker.Load(); w >= 0 {
+				t.Fatalf("workers=%d n=%d: worker id %d outside [0,%d)", workers, n, w, eff)
+			}
+			for i, v := range visits {
+				if v != 1 {
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, v)
+				}
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestPoolClaimActiveCount: a multi-worker Claim region registers its
+// workers in the Active count and deregisters them on return.
+func TestPoolClaimActiveCount(t *testing.T) {
+	p := NewPool(4)
+	defer p.Close()
+	var wrong atomic.Int64
+	wrong.Store(-1)
+	p.Claim(8, func(_, _ int) {
+		if a := Active(); a != 4 {
+			wrong.Store(int64(a))
+		}
+	})
+	if got := wrong.Load(); got >= 0 {
+		t.Fatalf("Active inside a 4-worker Claim region = %d, want 4", got)
+	}
+	if a := Active(); a != 0 {
+		t.Fatalf("Active after region = %d, want 0", a)
+	}
+}
+
+// TestPoolClaimAfterClosePanics documents the misuse contract.
+func TestPoolClaimAfterClosePanics(t *testing.T) {
+	p := NewPool(2)
+	p.Close()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Claim on a closed pool did not panic")
+		}
+	}()
+	p.Claim(4, func(_, _ int) {})
+}
+
+// TestPoolClaimBalances: at 2 workers, whichever worker claims index 0
+// blocks until every other index has finished. Only dynamic claiming
+// completes this — under For's contiguous chunks the blocked worker
+// would own indexes 1..n/2-1 itself — and the guard turns a
+// regression into a failure instead of a hang.
+func TestPoolClaimBalances(t *testing.T) {
+	const n = 16
+	p := NewPool(2)
+	defer p.Close()
+	var finished atomic.Int32
+	others := make(chan struct{})
+	var stuckAt atomic.Int32 // finished count when the guard fired
+	stuckAt.Store(-1)
+	p.Claim(n, func(_, i int) {
+		if i == 0 {
+			select {
+			case <-others:
+			case <-time.After(10 * time.Second):
+				stuckAt.Store(finished.Load())
+			}
+			return
+		}
+		if finished.Add(1) == n-1 {
+			close(others)
+		}
+	})
+	if got := stuckAt.Load(); got >= 0 {
+		t.Fatalf("the worker holding index 0 waited 10 s; %d of the other %d indexes had finished", got, n-1)
 	}
 }
