@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/bitset"
@@ -64,7 +65,10 @@ type Options struct {
 	Coverage coverage.Config
 	// Eta is Algorithm 2's gradient step size η.
 	Eta float64
-	// Steps is Algorithm 2's iteration count T.
+	// Steps is Algorithm 2's iteration count T. It is an upper bound on
+	// the passes: an input that one step leaves bit-for-bit unchanged is
+	// a fixed point, so synthesis stops there with the result all T
+	// steps would give.
 	Steps int
 	// Init selects zero (paper) or Gaussian initialisation.
 	Init InitMode
@@ -258,7 +262,9 @@ func residualNet(net *nn.Network, covered *bitset.Set) *nn.Network {
 
 // Synthesize runs Algorithm 2's inner loop (lines 5–11): T gradient
 // steps on the input so that target classifies it as class label,
-// starting from zeros (paper) or Gaussian noise.
+// starting from zeros (paper) or Gaussian noise. T is an upper bound:
+// the loop stops at the first step that leaves the input bit-for-bit
+// unchanged, and the result is the same as after all T steps.
 func Synthesize(target *nn.Network, inShape []int, label int, opts Options, rng *rand.Rand) *tensor.Tensor {
 	return synthSteps(target, synthInit(inShape, opts, rng), label, opts)
 }
@@ -277,8 +283,14 @@ func synthInit(inShape []int, opts Options, rng *rand.Rand) *tensor.Tensor {
 // synthSteps runs the T gradient steps of Algorithm 2 on x in place and
 // returns it. It mutates target's gradient accumulators and layer
 // caches, so concurrent callers need their own clone of target.
+//
+// A step is a pure function of x's bits (η is constant and there is no
+// momentum), so a step that leaves x bit-for-bit unchanged would repeat
+// itself through step T: the loop stops there, with the same result.
 func synthSteps(target *nn.Network, x *tensor.Tensor, label int, opts Options) *tensor.Tensor {
+	prev := make([]float64, x.Size())
 	for t := 0; t < opts.Steps; t++ {
+		copy(prev, x.Data())
 		target.ZeroGrad()
 		logits := target.Forward(x)
 		_, dLogits := nn.SoftmaxCrossEntropy(logits, label)
@@ -286,6 +298,9 @@ func synthSteps(target *nn.Network, x *tensor.Tensor, label int, opts Options) *
 		x.AddScaled(-opts.Eta, dx)
 		if opts.Clamp {
 			x.Clamp(0, 1)
+		}
+		if sameBits(prev, x.Data()) {
+			break
 		}
 	}
 	return x
@@ -297,13 +312,20 @@ func synthSteps(target *nn.Network, x *tensor.Tensor, label int, opts Options) *
 // products fuse into large per-layer GEMMs; every input row evolves by
 // exactly the per-sample operation sequence, so the synthesised inputs
 // are bit-identical to running synthSteps class by class.
+//
+// That independence also makes the early stop exact: a step that
+// leaves the whole batch bit-for-bit unchanged leaves every row at a
+// fixed point (see synthSteps), so the loop stops there. A row that
+// stops before the others stays in the batch and keeps its bits.
 func synthStepsBatch(target *nn.Network, xs []*tensor.Tensor, firstLabel int, opts Options) {
 	x := tensor.Stack(xs)
 	labels := make([]int, len(xs))
 	for i := range labels {
 		labels[i] = firstLabel + i
 	}
+	prev := make([]float64, x.Size())
 	for t := 0; t < opts.Steps; t++ {
+		copy(prev, x.Data())
 		logits := target.ForwardBatch(x)
 		_, dLogits := nn.SoftmaxCrossEntropyBatch(logits, labels)
 		// Synthesis never reads parameter gradients, so the input-only
@@ -314,11 +336,26 @@ func synthStepsBatch(target *nn.Network, xs []*tensor.Tensor, firstLabel int, op
 		if opts.Clamp {
 			x.Clamp(0, 1)
 		}
+		if sameBits(prev, x.Data()) {
+			break
+		}
 	}
 	sz := xs[0].Size()
 	for i := range xs {
 		copy(xs[i].Data(), x.Data()[i*sz:(i+1)*sz])
 	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns,
+// so -0 differs from +0 and a NaN equals only its own bits: a step's
+// result depends on its input's bits, not on its values.
+func sameBits(a, b []float64) bool {
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // synthesizeBatch synthesises one input per class c in [0,classes)

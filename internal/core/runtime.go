@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/coverage"
@@ -67,11 +69,63 @@ func (rt *genRuntime) neuronSets(train *data.Dataset, ncfg coverage.NeuronConfig
 }
 
 // paramSetsOf extracts each input's activation set on the full network.
+// An activation set depends only on its input's bits, so each distinct
+// input is extracted once and a repeat gets a clone of the set of the
+// input it repeats. Algorithm 2 often returns repeats: a probe row that
+// the residual network leaves at its zero start is one.
 func (rt *genRuntime) paramSetsOf(xs []*tensor.Tensor) []*bitset.Set {
+	uniq, of := distinctInputs(xs)
+	var sets []*bitset.Set
 	if rt.opts.Pool != nil {
-		return rt.extractor().ParamSetsOf(xs, rt.opts.Coverage)
+		sets = rt.extractor().ParamSetsOf(uniq, rt.opts.Coverage)
+	} else {
+		sets = coverage.ParamSetsOf(rt.net, uniq, rt.opts.Coverage, rt.opts.workers(), rt.opts.extractionBatch())
 	}
-	return coverage.ParamSetsOf(rt.net, xs, rt.opts.Coverage, rt.opts.workers(), rt.opts.extractionBatch())
+	out := make([]*bitset.Set, len(xs))
+	given := make([]bool, len(uniq))
+	for i, u := range of {
+		if given[u] {
+			out[i] = sets[u].Clone()
+		} else {
+			out[i], given[u] = sets[u], true
+		}
+	}
+	return out
+}
+
+// distinctInputs returns the bit-distinct inputs of xs in order of
+// first appearance, and for each input the index of its first
+// appearance in that list.
+func distinctInputs(xs []*tensor.Tensor) (uniq []*tensor.Tensor, of []int) {
+	of = make([]int, len(xs))
+	byHash := make(map[uint64][]int, len(xs))
+	for i, x := range xs {
+		h := inputHash(x)
+		u := -1
+		for _, j := range byHash[h] {
+			if slices.Equal(uniq[j].Shape(), x.Shape()) && sameBits(uniq[j].Data(), x.Data()) {
+				u = j
+				break
+			}
+		}
+		if u < 0 {
+			u = len(uniq)
+			uniq = append(uniq, x)
+			byHash[h] = append(byHash[h], u)
+		}
+		of[i] = u
+	}
+	return uniq, of
+}
+
+// inputHash hashes x's float64 bit patterns, FNV-1a style with one
+// 64-bit word per step.
+func inputHash(x *tensor.Tensor) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range x.Data() {
+		h = (h ^ math.Float64bits(v)) * 1099511628211
+	}
+	return h
 }
 
 // synthesize runs one per-class synthesis round against target (a

@@ -17,7 +17,7 @@ type Conv2D struct {
 	Weight, Bias    *Param
 	geom            tensor.ConvGeom
 
-	col *tensor.Tensor // cached im2col of the last input
+	col *tensor.Tensor // im2col of the last input; the buffer is reused by every Forward
 
 	colBatch *tensor.Tensor // cached Im2ColBatch of the last batch input
 	batchB   int            // batch size of the last ForwardBatch
@@ -63,8 +63,11 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 || x.Dim(0) != c.InC || x.Dim(1) != c.InH || x.Dim(2) != c.InW {
 		panic(fmt.Sprintf("nn: %s expects input [%d %d %d], got %v", c.LayerName, c.InC, c.InH, c.InW, x.Shape()))
 	}
-	c.col = tensor.Im2Col(x, c.geom)
 	hw := c.geom.OutH * c.geom.OutW
+	if c.col == nil {
+		c.col = tensor.New(c.InC*c.K*c.K, hw)
+	}
+	tensor.Im2ColInto(c.col, x, c.geom)
 	out := convForwardSample(c.Weight.W, c.Bias.W, c.col, c.OutC, hw) // [OutC, OutH*OutW]
 	return out.Reshape(c.OutC, c.geom.OutH, c.geom.OutW)
 }

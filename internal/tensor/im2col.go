@@ -31,36 +31,48 @@ func Geom(c, h, w, kh, kw, stride, pad int) ConvGeom {
 // a single MatMul with the [OC, C*KH*KW] weight matrix. Padding positions
 // contribute zeros.
 func Im2Col[E Num](x *Dense[E], g ConvGeom) *Dense[E] {
+	out := NewOf[E](g.C*g.KH*g.KW, g.OutH*g.OutW)
+	Im2ColInto(out, x, g)
+	return out
+}
+
+// Im2ColInto writes Im2Col(x, g) into dst, a [C*KH*KW, OutH*OutW]
+// matrix. It writes every element, padding zeros included, so a reused
+// dst needs no clearing.
+func Im2ColInto[E Num](dst, x *Dense[E], g ConvGeom) {
 	if x.Rank() != 3 || x.Dim(0) != g.C || x.Dim(1) != g.H || x.Dim(2) != g.W {
 		panic(fmt.Sprintf("tensor: Im2Col input %v does not match geometry %+v", x.Shape(), g))
 	}
 	rows := g.C * g.KH * g.KW
 	cols := g.OutH * g.OutW
-	out := NewOf[E](rows, cols)
-	xd, od := x.Data(), out.Data()
+	if dst.Rank() != 2 || dst.Dim(0) != rows || dst.Dim(1) != cols {
+		panic(fmt.Sprintf("tensor: Im2ColInto destination %v, want [%d %d]", dst.Shape(), rows, cols))
+	}
+	xd, od := x.Data(), dst.Data()
 	for c := 0; c < g.C; c++ {
 		for ki := 0; ki < g.KH; ki++ {
 			for kj := 0; kj < g.KW; kj++ {
 				row := (c*g.KH+ki)*g.KW + kj
 				base := row * cols
 				for oi := 0; oi < g.OutH; oi++ {
+					orow := od[base+oi*g.OutW : base+(oi+1)*g.OutW]
 					ii := oi*g.Stride + ki - g.Pad
 					if ii < 0 || ii >= g.H {
-						continue // stays zero
+						clear(orow)
+						continue
 					}
 					xrow := xd[(c*g.H+ii)*g.W:]
-					orow := od[base+oi*g.OutW:]
-					for oj := 0; oj < g.OutW; oj++ {
-						jj := oj*g.Stride + kj - g.Pad
-						if jj >= 0 && jj < g.W {
+					for oj := range orow {
+						if jj := oj*g.Stride + kj - g.Pad; jj >= 0 && jj < g.W {
 							orow[oj] = xrow[jj]
+						} else {
+							orow[oj] = 0
 						}
 					}
 				}
 			}
 		}
 	}
-	return out
 }
 
 // Im2ColBatch lowers a [B,C,H,W] batch into a [C*KH*KW, B*OutH*OutW]

@@ -198,3 +198,35 @@ func BenchmarkMatMul64(b *testing.B) {
 		MatMul(a, c)
 	}
 }
+
+// TestIm2ColIntoOverwritesEverything: Im2ColInto writes every element of
+// its destination, padding zeros included, so a reused buffer holding
+// garbage (NaN here) gives Im2Col's matrix bit for bit, in both
+// precisions, on the padded and strided geometries above. The batched
+// lowering of a one-sample batch is an independent reference.
+func TestIm2ColIntoOverwritesEverything(t *testing.T) {
+	geoms := []ConvGeom{
+		Geom(1, 2, 2, 3, 3, 1, 1),
+		Geom(2, 6, 5, 3, 3, 1, 1),
+		Geom(1, 5, 7, 3, 3, 2, 1),
+		Geom(1, 32, 32, 2, 2, 2, 0),
+		Geom(3, 9, 7, 3, 3, 2, 1),
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, g := range geoms {
+		x := New(g.C, g.H, g.W)
+		x.FillNormal(rng, 0, 1)
+		checkIm2ColInto(t, x, g)
+		checkIm2ColInto(t, x.F32(), g)
+	}
+}
+
+func checkIm2ColInto[E Num](t *testing.T, x *Dense[E], g ConvGeom) {
+	t.Helper()
+	want := Im2Col(x, g)
+	denseEqualBitwise(t, "Im2ColBatch of one sample", Im2ColBatch(x.Reshape(1, g.C, g.H, g.W), g), want)
+	dst := NewOf[E](g.C*g.KH*g.KW, g.OutH*g.OutW)
+	dst.Fill(E(math.NaN()))
+	Im2ColInto(dst, x, g)
+	denseEqualBitwise(t, "Im2ColInto over NaN", dst, want)
+}
