@@ -90,15 +90,15 @@ type Options struct {
 	Parallelism int
 	// Batch is the evaluation batch size within each worker: activation
 	// extraction and synthesis stack up to Batch inputs and run the
-	// batched forward/backward engine on them, turning per-sample matrix
-	// products into large per-layer GEMMs. Zero selects per-workload
-	// defaults — synthesis runs at coverage.DefaultBatch (its batched
-	// input-only backward measures ~20% faster), while activation
-	// extraction stays per-sample (its per-sample ∇θ backward dominates
-	// and measures no win from batching); 1 forces the per-sample path
-	// everywhere; larger values apply to both workloads. Batched
-	// evaluation is bit-identical to per-sample at any size, so this too
-	// is purely a speed knob.
+	// batched forward/backward engine on them, one kernel call per layer
+	// for the whole batch. Zero selects per-workload defaults —
+	// synthesis runs at coverage.DefaultBatch (its batched backward is
+	// input-only and takes ~20% less time; see coverage.DefaultBatch),
+	// while activation extraction stays per-sample (its per-sample ∇θ
+	// backward dominates and measures no win from batching); 1 forces
+	// the per-sample path everywhere; larger values apply to both
+	// workloads. Batched evaluation is bit-identical to per-sample at
+	// any size, so this too is purely a speed knob.
 	Batch int
 	// Pool, when set, runs the generator fan-outs (activation
 	// extraction, per-class synthesis) on this persistent worker pool
@@ -387,18 +387,20 @@ func synthesizeBatch(target *nn.Network, inShape []int, classes int, opts Option
 
 // runSynth drives the synthesis of xs[lo:hi] on net (xs[c] targeting
 // class c), batching up to opts.synthesisBatch() classes per pass; the
-// shared worker body of the per-call-clone and pool-pinned paths.
+// shared worker body of the per-call-clone and pool-pinned paths. With
+// batching on, a one-class chunk (every chunk once Parallelism reaches
+// the class count) is a batch of one, so it too runs the input-only
+// backward; only Batch 1 takes the per-sample path.
 func runSynth(net *nn.Network, xs []*tensor.Tensor, lo, hi int, opts Options) {
 	bsz := opts.synthesisBatch()
-	for s := lo; s < hi; s += bsz {
-		e := min(s+bsz, hi)
-		if bsz <= 1 || e-s == 1 {
-			for c := s; c < e; c++ {
-				synthSteps(net, xs[c], c, opts)
-			}
-			continue
+	if bsz <= 1 {
+		for c := lo; c < hi; c++ {
+			synthSteps(net, xs[c], c, opts)
 		}
-		synthStepsBatch(net, xs[s:e], s, opts)
+		return
+	}
+	for s := lo; s < hi; s += bsz {
+		synthStepsBatch(net, xs[s:min(s+bsz, hi)], s, opts)
 	}
 }
 

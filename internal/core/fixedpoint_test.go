@@ -334,3 +334,44 @@ func TestSameBits(t *testing.T) {
 		t.Fatal("NaNs with different payloads compared equal")
 	}
 }
+
+// TestSynthesisBatchesOneClassChunks: at Parallelism 10 each worker
+// synthesises one of the ten classes. With batching on (the default),
+// that one-class chunk is a batch of one through the input-only
+// backward, so no worker runs a per-sample pass; Batch 1 still forces
+// the per-sample path. Both give the serial per-sample inputs.
+func TestSynthesisBatchesOneClassChunks(t *testing.T) {
+	const classes = 10
+	net := trainedDigitsNet()
+	pool := parallel.NewPool(classes)
+	defer pool.Close()
+	inShape := []int{1, 12, 12}
+	for _, init := range []InitMode{ZeroInit, GaussianInit} {
+		ref := DefaultOptions(1)
+		ref.Init, ref.Parallelism, ref.Batch = init, 1, 1
+		want := synthesizeBatch(net, inShape, classes, ref, rand.New(rand.NewSource(5)))
+		for _, batch := range []int{0, 1} {
+			opts := ref
+			opts.Pool, opts.Parallelism, opts.Batch = pool, classes, batch
+			rt := newGenRuntime(net, opts)
+			counters := make([]*passCounter, classes)
+			rt.synth = make([]*nn.Network, classes)
+			for w := range rt.synth {
+				rt.synth[w], counters[w] = counted(net)
+			}
+			got := rt.synthesize(net, inShape, classes, opts, rand.New(rand.NewSource(5)))
+			for c := range want {
+				requireSameBits(t, fmt.Sprintf("init %d batch %d class %d", init, batch, c), got[c], want[c])
+			}
+			for w, pc := range counters {
+				perSample, batched := pc.forwards > 0, len(pc.dims) > 0
+				if batch == 1 && (!perSample || batched) {
+					t.Fatalf("init %d batch 1: worker %d ran %d per-sample passes and batch dims %v, want per-sample passes only", init, w, pc.forwards, pc.dims)
+				}
+				if batch == 0 && (perSample || !batched || slices.ContainsFunc(pc.dims, func(d int) bool { return d != 1 })) {
+					t.Fatalf("init %d batch 0: worker %d ran %d per-sample passes and batch dims %v, want batches of one only", init, w, pc.forwards, pc.dims)
+				}
+			}
+		}
+	}
+}

@@ -53,10 +53,10 @@ func DefaultConfig(net *nn.Network) Config {
 }
 
 // DefaultBatch is the evaluation batch size core's generators use where
-// batching pays off by default (input synthesis, whose batched backward
-// is input-only and measures ~20% faster): big enough that every
-// layer's batched product is a full-size GEMM, small enough that the
-// batch's im2col caches stay cache-resident. This package's extractors
+// batching pays off by default: input synthesis, whose batched backward
+// is input-only (core's BenchmarkSynthesisBatched takes ~20% less time
+// than BenchmarkSynthesisPerSample on two workers), and which only ever
+// batches the ten classes of a round. This package's extractors
 // take an explicit batch argument and treat values below 2 as
 // per-sample — the right default for activation extraction, whose
 // per-sample ∇θ backward dominates its cost. Extraction is

@@ -13,10 +13,12 @@ import (
 //
 // The batched paths are *bit-identical* to the per-sample ones:
 //
-//   - Batched products reuse the serial GEMM kernels with the batch
-//     folded into rows or columns, so every output cell is produced by
-//     exactly the per-sample instruction sequence (same accumulation
-//     order, same zero-skips, multiplication operand order immaterial).
+//   - Batched dense products reuse the serial GEMM kernels with the
+//     batch folded into rows, and the direct convolution kernels run
+//     each sample of a batch through the per-sample sequence, so every
+//     output cell is produced by exactly the per-sample instruction
+//     sequence (same accumulation order, same zero-skips,
+//     multiplication operand order immaterial).
 //   - Parameter gradients accumulate across the batch in ascending
 //     sample order, the order of the serial per-sample loop.
 //
@@ -50,7 +52,9 @@ type BatchLayer interface {
 	BackwardBatchInput(dOut *tensor.Tensor) *tensor.Tensor
 	// ReleaseBatchState drops whatever per-batch caches the layer keeps
 	// between ForwardBatch and the batched backward passes; the next
-	// ForwardBatch rebuilds them.
+	// ForwardBatch rebuilds them. Dense and Conv2D cache their input
+	// tensor itself, not a copy, so an input must not change between
+	// ForwardBatch and the backward pass that reads it.
 	ReleaseBatchState()
 }
 
@@ -113,11 +117,12 @@ func (n *Network) BackwardBatchInput(dLogits *tensor.Tensor) *tensor.Tensor {
 }
 
 // ReleaseBatchState drops the per-batch caches the batched passes keep
-// on each layer (im2col matrices, activation inputs/outputs, pooling
-// winner indexes). Call it after a batched workload when the network
-// lives on — serialized, served per-sample — so the last batch's caches
-// do not pin heap; the next ForwardBatch rebuilds them. A pending
-// BackwardBatch/BackwardSample must run before releasing.
+// on each layer (the inputs of dense and convolution layers, activation
+// inputs/outputs, pooling winner indexes). Call it after a batched
+// workload when the network lives on — serialized, served per-sample —
+// so the last batch's caches do not pin heap; the next ForwardBatch
+// rebuilds them. A pending BackwardBatch/BackwardSample must run before
+// releasing.
 func (n *Network) ReleaseBatchState() {
 	for _, l := range n.LayerStack {
 		if bl, ok := l.(BatchLayer); ok {
@@ -140,78 +145,50 @@ func (n *Network) PredictBatch(x *tensor.Tensor) []int {
 
 // --- Conv2D ---
 
-// ForwardBatch implements BatchLayer. The whole batch is lowered with
-// Im2ColBatch into one [C*K*K, B*OutH*OutW] matrix and convolved by the
-// fused strided kernel: each sample's [OutC, hw] block is written
-// straight into its slab of the [B, OutC, OH, OW] output with the bias
-// added in the GEMM epilogue — one memory pass, no separate bias loop,
-// no permute (convkernel.go states the bit-identity argument). Every
-// output element is computed by the per-sample kernel sequence, so the
-// result is bit-identical to per-sample Forward.
+// ForwardBatch implements BatchLayer: one direct-convolution kernel
+// call over the whole batch, which writes each sample's [OutC, OH, OW]
+// slab of the output with the bias added in its epilogue. Every output
+// element gets the per-sample sequence, so the result is bit-identical
+// to per-sample Forward. The layer caches x for the batched backward.
 func (c *Conv2D) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(1) != c.InC || x.Dim(2) != c.InH || x.Dim(3) != c.InW {
 		panic(fmt.Sprintf("nn: %s expects batch input [B %d %d %d], got %v", c.LayerName, c.InC, c.InH, c.InW, x.Shape()))
 	}
-	b := x.Dim(0)
-	c.batchB = b
-	c.colBatch = tensor.Im2ColBatch(x, c.geom)
-	return convForwardBatch(c.Weight.W, c.Bias.W, c.colBatch, b, c.OutC, c.geom)
+	c.xBatch = x
+	out := tensor.New(x.Dim(0), c.OutC, c.geom.OutH, c.geom.OutW)
+	tensor.ConvForward(out, x, c.Weight.W, c.Bias.W, c.geom)
+	return out
 }
 
 // ReleaseBatchState implements BatchLayer.
-func (c *Conv2D) ReleaseBatchState() {
-	c.colBatch, c.batchB = nil, 0
-}
+func (c *Conv2D) ReleaseBatchState() { c.xBatch = nil }
 
-// BackwardSample implements BatchLayer. Sample b's im2col block is read
-// in place through a strided view of the cached Im2ColBatch matrix and
-// the per-sample gradient products run on it exactly as Backward does,
-// so gradients are bit-identical to Forward+Backward on that sample
-// alone — with no gather copy.
+// BackwardSample implements BatchLayer: Backward against sample b of
+// the cached batch input, so gradients are bit-identical to
+// Forward+Backward on that sample alone.
 func (c *Conv2D) BackwardSample(b int, dOut *tensor.Tensor) *tensor.Tensor {
-	hw := c.geom.OutH * c.geom.OutW
-	d2 := dOut.Reshape(c.OutC, hw)
-	// dW += d2 · col_bᵀ, dotted straight out of the wide column matrix.
-	tensor.MatMulTBIntoStrided(c.Weight.Grad, d2, convSampleColView(c.colBatch, b, c.batchB, hw), true)
-	// db += row sums of dOut.
-	bd := c.Bias.Grad.Data()
-	dd := d2.Data()
-	for o := 0; o < c.OutC; o++ {
-		bd[o] += tensor.Sum(dd[o*hw : o*hw+hw])
-	}
-	// dX = Col2Im(Wᵀ · dOut).
-	dcol := tensor.MatMulTA(c.Weight.W, d2)
-	return tensor.Col2Im(dcol, c.geom)
+	return c.backwardWith(dOut, c.xBatch.Sample(b))
 }
 
 // BackwardBatch implements BatchLayer. Convolution weight gradients must
 // accumulate per sample to stay bit-identical to the serial loop (the
 // per-sample partial sums associate differently from one long reduction),
-// so the batch walks samples in ascending order; each sample's products
-// are full-size GEMMs already.
+// so parameter gradients walk the samples in ascending order; the input
+// gradient is one kernel call over the batch.
 func (c *Conv2D) BackwardBatch(dOut *tensor.Tensor) *tensor.Tensor {
 	b := batchDim(dOut, c.LayerName)
-	dx := tensor.New(b, c.InC, c.InH, c.InW)
-	sz := c.InC * c.InH * c.InW
 	for s := 0; s < b; s++ {
-		dxs := c.BackwardSample(s, dOut.Sample(s))
-		copy(dx.Data()[s*sz:(s+1)*sz], dxs.Data())
+		c.paramGrads(dOut.Sample(s), c.xBatch.Sample(s))
 	}
-	return dx
+	return c.BackwardBatchInput(dOut)
 }
 
 // BackwardBatchInput implements BatchLayer: the dX chain only, skipping
-// the weight and bias gradients.
+// the weight and bias gradients. Each sample's gradient is written
+// straight into its slab of the [B, C, H, W] result.
 func (c *Conv2D) BackwardBatchInput(dOut *tensor.Tensor) *tensor.Tensor {
-	b := batchDim(dOut, c.LayerName)
-	hw := c.geom.OutH * c.geom.OutW
-	dx := tensor.New(b, c.InC, c.InH, c.InW)
-	sz := c.InC * c.InH * c.InW
-	for s := 0; s < b; s++ {
-		d2 := dOut.Sample(s).Reshape(c.OutC, hw)
-		dxs := tensor.Col2Im(tensor.MatMulTA(c.Weight.W, d2), c.geom)
-		copy(dx.Data()[s*sz:(s+1)*sz], dxs.Data())
-	}
+	dx := tensor.New(batchDim(dOut, c.LayerName), c.InC, c.InH, c.InW)
+	tensor.ConvInputGrad(dx, dOut, c.Weight.W, c.geom)
 	return dx
 }
 

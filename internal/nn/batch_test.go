@@ -3,6 +3,8 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -295,6 +297,43 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	for b, x := range xs {
 		if want := net.Predict(x); got[b] != want {
 			t.Fatalf("PredictBatch[%d] = %d, want %d", b, got[b], want)
+		}
+	}
+}
+
+// TestConvBatchAllocsIndependentOfBatch: a warmed convolution's batched
+// forward and input-only backward allocate as many objects at B = 8 as
+// at B = 1, namely their output tensors: the kernels take their scratch
+// from pools and build no per-sample column matrix, column-gradient
+// product or Col2Im tensor. One kernel worker keeps the fan-out's own
+// allocations out of the count. Under the race detector sync.Pool drops
+// a random share of what it is given, so pooled scratch is reallocated
+// at random there; the slack allowed for that is far below the seven or
+// more objects a per-sample allocation would add at B = 8.
+func TestConvBatchAllocsIndependentOfBatch(t *testing.T) {
+	prev := tensor.Parallelism()
+	tensor.SetParallelism(1)
+	defer tensor.SetParallelism(prev)
+	slack := 0.0
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		slack = 2
+	}
+	rng := rand.New(rand.NewSource(21))
+	for _, pad := range []int{0, 1} {
+		c := NewConv2D("conv", 8, 18, 18, 8, 3, 1, pad)
+		c.Init(rng)
+		allocs := map[int]float64{}
+		for _, b := range []int{1, 8} {
+			x := randIn(rng, b, 8, 18, 18)
+			dOut := randIn(rng, c.ForwardBatch(x).Shape()...)
+			c.BackwardBatchInput(dOut)
+			allocs[b] = testing.AllocsPerRun(20, func() {
+				c.ForwardBatch(x)
+				c.BackwardBatchInput(dOut)
+			})
+		}
+		if math.Abs(allocs[8]-allocs[1]) > slack {
+			t.Errorf("pad %d: %v allocations per forward and input backward at B=1, %v at B=8; want the same", pad, allocs[1], allocs[8])
 		}
 	}
 }

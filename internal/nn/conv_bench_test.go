@@ -66,3 +66,22 @@ func BenchmarkConvBackwardF64(b *testing.B) {
 		c.BackwardBatch(dOut)
 	}
 }
+
+// BenchmarkConvBackwardInputF64 times the synthesis pass: the batched
+// input-only backward at the CIFAR substitute's conv2 geometry (8
+// channels of 18×18 in, 8 out, 3×3, no padding), on a batch of five.
+func BenchmarkConvBackwardInputF64(b *testing.B) {
+	const batch, inC, in, outC, k = 5, 8, 18, 8, 3
+	rng := rand.New(rand.NewSource(3))
+	c := NewConv2D("conv2", inC, in, in, outC, k, 1, 0)
+	c.Init(rng)
+	x := tensor.New(batch, inC, in, in)
+	x.FillNormal(rng, 0, 1)
+	dOut := tensor.New(c.ForwardBatch(x).Shape()...)
+	dOut.FillNormal(rng, 0, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.BackwardBatchInput(dOut)
+	}
+}

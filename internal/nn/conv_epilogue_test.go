@@ -7,12 +7,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// These tests pin the fused-epilogue convolution path against the
-// pre-epilogue operation sequence it replaced: wide GEMM → separate
-// bias pass → [OutC, B*hw] → [B, OutC, hw] permute on the forward, and
-// per-sample contiguous column-block gathers on the backward. The old
-// sequence is replicated verbatim here (it is the reference); the layer
-// must reproduce it bit for bit.
+// These tests pin the convolution layers, which run the direct kernels
+// of tensor/conv.go, against the pre-epilogue im2col operation
+// sequence: wide GEMM → separate bias pass → [OutC, B*hw] →
+// [B, OutC, hw] permute on the forward, and per-sample contiguous
+// column-block gathers on the backward. The old sequence is replicated
+// verbatim here (it is the reference); the layer must reproduce it bit
+// for bit.
 
 func convBeds(t *testing.T) []*Conv2D {
 	t.Helper()
@@ -151,17 +152,19 @@ func TestConvBackwardSampleMatchesPreEpilogueSequence(t *testing.T) {
 		x := randIn(rng, b, c.InC, c.InH, c.InW)
 		c.ForwardBatch(x)
 		hw := c.geom.OutH * c.geom.OutW
+		colBatch := tensor.Im2ColBatch(x, c.geom)
 
 		for s := 0; s < b; s++ {
 			dOut := randIn(rng, c.OutC, c.geom.OutH, c.geom.OutW)
 			d2 := dOut.Reshape(c.OutC, hw)
 
-			// Pre-epilogue reference: gather sample s's column block into
-			// a contiguous scratch matrix (the old sampleCol), then run
-			// the old gradient products on clones of the running grads.
+			// Pre-epilogue reference: gather sample s's column block of
+			// the batch's Im2ColBatch matrix into a contiguous scratch
+			// matrix (the old sampleCol), then run the old gradient
+			// products on clones of the running grads.
 			rows := c.InC * c.K * c.K
 			stride := b * hw
-			cb := c.colBatch.Data()
+			cb := colBatch.Data()
 			scratch := tensor.New(rows, hw)
 			for i := 0; i < rows; i++ {
 				copy(scratch.Data()[i*hw:(i+1)*hw], cb[i*stride+s*hw:i*stride+(s+1)*hw])
@@ -178,7 +181,7 @@ func TestConvBackwardSampleMatchesPreEpilogueSequence(t *testing.T) {
 			gotX := c.BackwardSample(s, dOut)
 			for i := range wantW.Data() {
 				if c.Weight.Grad.Data()[i] != wantW.Data()[i] {
-					t.Fatalf("sample %d: dW element %d = %v, want %v (gather-free backward must match the gathered sequence)",
+					t.Fatalf("sample %d: dW element %d = %v, want %v (direct backward must match the gathered sequence)",
 						s, i, c.Weight.Grad.Data()[i], wantW.Data()[i])
 				}
 			}

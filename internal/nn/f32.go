@@ -18,7 +18,7 @@ import (
 // knob), never the bit-exact mode.
 //
 // The forward passes mirror the float64 layers operation for operation
-// (same im2col lowering, same GEMM kernels via the generic tensor
+// (same direct-convolution and GEMM kernels via the generic tensor
 // layer, same bias/activation loops), so the float32 batched path is
 // bit-identical to the float32 per-sample path for the same reason the
 // float64 one is.
@@ -135,20 +135,18 @@ func (c *convF32) forward(x *tensor.T32) *tensor.T32 {
 	if x.Rank() != 3 || x.Dim(0) != c.inC || x.Dim(1) != c.inH || x.Dim(2) != c.inW {
 		panic(fmt.Sprintf("nn: conv/f32 expects input [%d %d %d], got %v", c.inC, c.inH, c.inW, x.Shape()))
 	}
-	col := tensor.Im2Col(x, c.geom)
-	hw := c.geom.OutH * c.geom.OutW
-	out := convForwardSample(c.weight, c.bias, col, c.outC, hw) // [OutC, OutH*OutW]
-	return out.Reshape(c.outC, c.geom.OutH, c.geom.OutW)
+	out := tensor.New32(c.outC, c.geom.OutH, c.geom.OutW)
+	tensor.ConvForward(out, x, c.weight, c.bias, c.geom)
+	return out
 }
 
 func (c *convF32) forwardBatch(x *tensor.T32) *tensor.T32 {
 	if x.Rank() != 4 || x.Dim(1) != c.inC || x.Dim(2) != c.inH || x.Dim(3) != c.inW {
 		panic(fmt.Sprintf("nn: conv/f32 expects batch input [B %d %d %d], got %v", c.inC, c.inH, c.inW, x.Shape()))
 	}
-	b := x.Dim(0)
-	// Same fused strided kernel as the float64 layer (convkernel.go):
-	// sample slabs written in place, bias in the epilogue, no permute.
-	return convForwardBatch(c.weight, c.bias, tensor.Im2ColBatch(x, c.geom), b, c.outC, c.geom)
+	out := tensor.New32(x.Dim(0), c.outC, c.geom.OutH, c.geom.OutW)
+	tensor.ConvForward(out, x, c.weight, c.bias, c.geom)
+	return out
 }
 
 func (c *convF32) syncFrom(src Layer) {

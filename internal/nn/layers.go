@@ -7,8 +7,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over a [C,H,W] input, lowered to a matrix
-// multiply via im2col. Weights have shape [OutC, InC*K*K]; biases [OutC].
+// Conv2D is a 2-D convolution over a [C,H,W] input, computed by the
+// direct tensor.Conv* kernels, which read the input through the
+// window map. Weights have shape [OutC, InC*K*K]; biases [OutC].
 type Conv2D struct {
 	LayerName       string
 	InC, InH, InW   int
@@ -17,10 +18,8 @@ type Conv2D struct {
 	Weight, Bias    *Param
 	geom            tensor.ConvGeom
 
-	col *tensor.Tensor // im2col of the last input; the buffer is reused by every Forward
-
-	colBatch *tensor.Tensor // cached Im2ColBatch of the last batch input
-	batchB   int            // batch size of the last ForwardBatch
+	x      *tensor.Tensor // cached input of the last Forward
+	xBatch *tensor.Tensor // cached [B,C,H,W] input of the last ForwardBatch
 }
 
 // NewConv2D constructs a convolution for a fixed input geometry.
@@ -63,30 +62,33 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 || x.Dim(0) != c.InC || x.Dim(1) != c.InH || x.Dim(2) != c.InW {
 		panic(fmt.Sprintf("nn: %s expects input [%d %d %d], got %v", c.LayerName, c.InC, c.InH, c.InW, x.Shape()))
 	}
-	hw := c.geom.OutH * c.geom.OutW
-	if c.col == nil {
-		c.col = tensor.New(c.InC*c.K*c.K, hw)
-	}
-	tensor.Im2ColInto(c.col, x, c.geom)
-	out := convForwardSample(c.Weight.W, c.Bias.W, c.col, c.OutC, hw) // [OutC, OutH*OutW]
-	return out.Reshape(c.OutC, c.geom.OutH, c.geom.OutW)
+	c.x = x
+	out := tensor.New(c.OutC, c.geom.OutH, c.geom.OutW)
+	tensor.ConvForward(out, x, c.Weight.W, c.Bias.W, c.geom)
+	return out
 }
 
 // Backward implements Layer.
-func (c *Conv2D) Backward(dOut *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) Backward(dOut *tensor.Tensor) *tensor.Tensor { return c.backwardWith(dOut, c.x) }
+
+// backwardWith is the per-sample backward against an explicit cached
+// input, shared by Backward and BackwardSample.
+func (c *Conv2D) backwardWith(dOut, x *tensor.Tensor) *tensor.Tensor {
+	c.paramGrads(dOut, x)
+	dx := tensor.New(c.InC, c.InH, c.InW)
+	tensor.ConvInputGrad(dx, dOut, c.Weight.W, c.geom)
+	return dx
+}
+
+// paramGrads accumulates one sample's weight and bias gradients from
+// its output gradient and its cached input x.
+func (c *Conv2D) paramGrads(dOut, x *tensor.Tensor) {
 	hw := c.geom.OutH * c.geom.OutW
-	d2 := dOut.Reshape(c.OutC, hw)
-	// dW += dOut · colᵀ
-	tensor.MatMulTBInto(c.Weight.Grad, d2, c.col, true)
-	// db += row sums of dOut
-	bd := c.Bias.Grad.Data()
-	dd := d2.Data()
+	tensor.ConvWeightGrad(c.Weight.Grad, dOut, x, c.geom)
+	bd, dd := c.Bias.Grad.Data(), dOut.Data()
 	for o := 0; o < c.OutC; o++ {
 		bd[o] += tensor.Sum(dd[o*hw : o*hw+hw])
 	}
-	// dX = Col2Im(Wᵀ · dOut)
-	dcol := tensor.MatMulTA(c.Weight.W, d2)
-	return tensor.Col2Im(dcol, c.geom)
 }
 
 // Params implements Layer.

@@ -172,117 +172,6 @@ func TestBlockedMatchesDirect(t *testing.T) {
 	tensorsEqualBitwise(t, "blocked vs direct", MatMul(a, b), direct)
 }
 
-func testStridedGEMM[E Num](t *testing.T, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	for _, g := range blockGrids {
-		forceBlocking(t, g.cols, g.k, g.rows)
-		for _, workers := range []int{1, 3} {
-			forceParallel(t, workers)
-			for _, s := range gemmShapes {
-				a := randMatOf[E](rng, s.m, s.k)
-				bias := randMatOf[E](rng, 1, s.m).Data()
-
-				// B lives as a column block inside a 3×-wide matrix; dst as
-				// a row-strided block inside a larger buffer.
-				wideB := randMatOf[E](rng, s.k, 3*s.n)
-				bview := Mat[E]{Data: wideB.Data()[s.n:], Rows: s.k, Cols: s.n, Stride: 3 * s.n}
-				dstBuf := make([]E, s.m*(s.n+4)+s.n)
-				dview := Mat[E]{Data: dstBuf, Rows: s.m, Cols: s.n, Stride: s.n + 4}
-
-				// Reference: gather B contiguously, MatMul, then the old
-				// separate bias pass.
-				bc := NewOf[E](s.k, s.n)
-				for kk := 0; kk < s.k; kk++ {
-					copy(bc.Data()[kk*s.n:(kk+1)*s.n], wideB.Data()[kk*3*s.n+s.n:kk*3*s.n+2*s.n])
-				}
-				want := MatMul(a, bc)
-				for i := 0; i < s.m; i++ {
-					row := want.Data()[i*s.n : (i+1)*s.n]
-					for j := range row {
-						row[j] += bias[i]
-					}
-				}
-
-				MatMulIntoStrided(dview, a, bview, bias, false)
-				for i := 0; i < s.m; i++ {
-					for j := 0; j < s.n; j++ {
-						if got := dstBuf[i*(s.n+4)+j]; got != want.Data()[i*s.n+j] {
-							t.Fatalf("MatMulIntoStrided: (%d,%d) = %v, want %v", i, j, got, want.Data()[i*s.n+j])
-						}
-					}
-				}
-				// The gap columns between strided rows must stay untouched.
-				for i := 0; i < s.m-1; i++ {
-					for j := s.n; j < s.n+4; j++ {
-						if dstBuf[i*(s.n+4)+j] != 0 {
-							t.Fatalf("MatMulIntoStrided wrote outside its view at row %d gap %d", i, j-s.n)
-						}
-					}
-				}
-
-				// TB against a strided row view ≡ TB against the gathered
-				// contiguous block, both accumulate modes.
-				wideBT := randMatOf[E](rng, s.n, 3*s.k)
-				btview := Mat[E]{Data: wideBT.Data()[s.k:], Rows: s.n, Cols: s.k, Stride: 3 * s.k}
-				btc := NewOf[E](s.n, s.k)
-				for j := 0; j < s.n; j++ {
-					copy(btc.Data()[j*s.k:(j+1)*s.k], wideBT.Data()[j*3*s.k+s.k:j*3*s.k+2*s.k])
-				}
-				for _, accumulate := range []bool{false, true} {
-					seedC := randMatOf[E](rng, s.m, s.n)
-					want := seedC.Clone()
-					MatMulTBInto(want, a, btc, accumulate)
-					got := seedC.Clone()
-					MatMulTBIntoStrided(got, a, btview, accumulate)
-					denseEqualBitwise(t, "MatMulTBIntoStrided", got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestStridedGEMMMatchesContiguousF64(t *testing.T) { testStridedGEMM[float64](t, 81) }
-func TestStridedGEMMMatchesContiguousF32(t *testing.T) { testStridedGEMM[float32](t, 82) }
-
-// TestMatMulIntoStridedBatchMatchesLoop pins the sample-parallel batched
-// entry point against a serial loop of single-sample calls: same views,
-// any worker count, bit-identical.
-func TestMatMulIntoStridedBatchMatchesLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	const m, k, n, samples = 7, 11, 13, 5
-	a := randMatOf[float64](rng, m, k)
-	bias := randMatOf[float64](rng, 1, m).Data()
-	// Samples share one wide column matrix, im2col-batch style.
-	wide := randMatOf[float64](rng, k, samples*n)
-	mkViews := func(dst []float64) (dsts, cols []Mat[float64]) {
-		for s := 0; s < samples; s++ {
-			dsts = append(dsts, Mat[float64]{Data: dst[s*m*n : (s+1)*m*n], Rows: m, Cols: n, Stride: n})
-			cols = append(cols, Mat[float64]{Data: wide.Data()[s*n:], Rows: k, Cols: n, Stride: samples * n})
-		}
-		return dsts, cols
-	}
-
-	want := make([]float64, samples*m*n)
-	dsts, cols := mkViews(want)
-	serialOnly(func() {
-		for s := 0; s < samples; s++ {
-			MatMulIntoStrided(dsts[s], a, cols[s], bias, false)
-		}
-	})
-
-	for _, workers := range []int{1, 2, 8} {
-		forceParallel(t, workers)
-		got := make([]float64, samples*m*n)
-		dsts, cols := mkViews(got)
-		MatMulIntoStridedBatch(dsts, cols, a, bias, false)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: element %d = %v, want %v", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestPackedGEMMSteadyStateZeroAlloc pins the scratch-arena contract:
 // once the pack pools are warm, the serial blocked kernels allocate
 // nothing per call. The budget of 0.5 tolerates a rare pool eviction by
@@ -294,20 +183,12 @@ func TestPackedGEMMSteadyStateZeroAlloc(t *testing.T) {
 	a := randMatOf[float64](rng, m, k)
 	b := randMatOf[float64](rng, k, n)
 	c := NewOf[float64](m, n)
-	bias := randMatOf[float64](rng, 1, m).Data()
-	dview := Mat[float64]{Data: c.Data(), Rows: m, Cols: n, Stride: n}
-	bview := MatOf(b)
 	serialOnly(func() {
 		MatMulInto(c, a, b, false) // warm the pack pool
 		if avg := testing.AllocsPerRun(100, func() {
 			MatMulInto(c, a, b, false)
 		}); avg > 0.5 {
 			t.Errorf("steady-state blocked MatMulInto allocates %.2f objects per call, want 0", avg)
-		}
-		if avg := testing.AllocsPerRun(100, func() {
-			MatMulIntoStrided(dview, a, bview, bias, false)
-		}); avg > 0.5 {
-			t.Errorf("steady-state fused strided GEMM allocates %.2f objects per call, want 0", avg)
 		}
 	})
 }

@@ -103,21 +103,19 @@ func gemmDims[E Num](a, b *Dense[E]) (m, k, n int) {
 // worker pool when the product is large enough to pay for it. Workers
 // own disjoint row panels and each row is produced by the same
 // operation sequence as the serial kernel, so results do not depend on
-// the worker count. The panel kernel itself (gemmPanel, strided.go)
+// the worker count. The panel kernel itself (gemmPanel, gemm.go)
 // routes large products through the cache-blocked packed path, which is
 // bit-identical to the direct path for any blocking parameters.
 func gemm[E Num](c, a, b []E, m, k, n int, accumulate bool) {
-	cv := Mat[E]{Data: c, Rows: m, Cols: n, Stride: n}
-	bv := Mat[E]{Data: b, Rows: k, Cols: n, Stride: n}
 	workers := kernelWorkers(m, gemmFlops(m, k, n))
 	if workers <= 1 {
 		// Serial fast path without the fan-out closure, so steady-state
 		// packed GEMM performs zero allocations.
-		gemmPanel(cv, a, bv, nil, 0, m, k, accumulate)
+		gemmPanel(c, a, b, 0, m, k, n, accumulate)
 		return
 	}
 	parallel.ForUncounted(m, workers, func(_, lo, hi int) {
-		gemmPanel(cv, a, bv, nil, lo, hi, k, accumulate)
+		gemmPanel(c, a, b, lo, hi, k, n, accumulate)
 	})
 }
 
@@ -202,8 +200,16 @@ func gemmTBDims[E Num](a, b *Dense[E]) (m, k, n int) {
 	return a.Dim(0), a.Dim(1), b.Dim(0)
 }
 
+// gemmTB fans row panels of C (+)= A·Bᵀ out across the worker pool.
 func gemmTB[E Num](c, a, b *Dense[E], m, k, n int, accumulate bool) {
-	gemmTBMat(c.data, a.data, Mat[E]{Data: b.data, Rows: n, Cols: k, Stride: k}, m, k, n, accumulate)
+	workers := kernelWorkers(m, gemmFlops(m, k, n))
+	if workers <= 1 {
+		gemmTBPanel(c.data, a.data, b.data, 0, m, k, n, accumulate)
+		return
+	}
+	parallel.ForUncounted(m, workers, func(_, lo, hi int) {
+		gemmTBPanel(c.data, a.data, b.data, lo, hi, k, n, accumulate)
+	})
 }
 
 // MatVec returns y = A·x for A of shape [m,n] and x of length n.

@@ -51,9 +51,10 @@ func satMul(a, b int) int {
 // negative flop count would silently clamp the kernel to one worker.
 func gemmFlops(m, k, n int) int { return satMul(satMul(m, k), n) }
 
-// Pack buffers are recycled through per-element-type pools so
-// steady-state blocked GEMM performs no allocations: after warm-up every
-// worker's packGet is a pool hit.
+// Pack buffers, and the convolution kernels' padded copies and
+// accumulator rows, are recycled through per-element-type pools so
+// steady-state blocked GEMM and convolution perform no scratch
+// allocations: after warm-up every worker's packGet is a pool hit.
 var (
 	packPool64 sync.Pool // holds *[]float64
 	packPool32 sync.Pool // holds *[]float32
@@ -79,8 +80,12 @@ func packGet[E Num](n int) *[]E {
 	return &buf
 }
 
-// packPut returns a buffer obtained from packGet to its pool.
+// packPut returns a buffer obtained from packGet to its pool; a nil
+// buffer is ignored.
 func packPut[E Num](buf *[]E) {
+	if buf == nil {
+		return
+	}
 	var zero E
 	switch any(zero).(type) {
 	case float64:
