@@ -390,6 +390,9 @@ type attackCampaignFlags struct {
 // mode: the tentpole `dnnval attack -kind <k> -magnitude-grid ...`
 // driver. The model file is read, never written.
 func runAttackCampaign(network *nn.Network, f attackCampaignFlags) error {
+	if f.decimals < 0 || f.decimals > quant.MaxDecimals {
+		return fmt.Errorf("-decimals %d out of range [0,%d]", f.decimals, quant.MaxDecimals)
+	}
 	cfg := experiments.CampaignConfig{
 		Trials: f.trials, Seed: f.seed, Workers: f.workers,
 		Decimals: f.decimals, Tol: f.tol,

@@ -346,8 +346,15 @@ func TestCLIAttackCampaign(t *testing.T) {
 		t.Fatalf("campaign table differs between 1 and 4 workers:\n%s\nvs\n%s", out1, out4)
 	}
 
+	// A precision the quantised comparison cannot represent is an
+	// error naming the flag, not a table of forfeits.
+	out, err := run(t, bin, campaign("0", "-decimals", "20")...)
+	if err == nil || !strings.Contains(out, "-decimals 20 out of range") {
+		t.Fatalf("campaign with -decimals 20: err %v\n%s", err, out)
+	}
+
 	// The gate passes against the campaign's own floors...
-	out, err := run(t, bin, campaign("0", "-gate", basePath)...)
+	out, err = run(t, bin, campaign("0", "-gate", basePath)...)
 	if err != nil {
 		t.Fatalf("gate against own floors: %v\n%s", err, out)
 	}

@@ -12,6 +12,7 @@
 package attack
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -20,6 +21,19 @@ import (
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
+
+// ErrNoEdit is wrapped by the errors of attackers that searched and
+// found no edit to make: QuantEvade with no sub-boundary edit among its
+// candidates, Adaptive with no damaging direction. The network is then
+// untouched and the attacker forfeits; any other error means the attack
+// could not run at all (invalid settings, a failing oracle).
+var ErrNoEdit = errors.New("attack: no edit found")
+
+// noEdit is a no-edit outcome: its own message, wrapping ErrNoEdit.
+type noEdit struct{ msg string }
+
+func (e *noEdit) Error() string { return e.msg }
+func (e *noEdit) Unwrap() error { return ErrNoEdit }
 
 // Perturbation records one applied parameter modification.
 type Perturbation struct {
@@ -165,12 +179,16 @@ func GDA(net *nn.Network, victim *tensor.Tensor, label int, cfg GDAConfig, rng *
 	changed := map[int]bool{}
 	success := false
 	for step := 0; step < cfg.Steps; step++ {
-		if net.Predict(victim) != label {
+		// One forward serves the label check and the gradient: the loss
+		// reads the logits without writing them, and Backward uses this
+		// pass's caches.
+		logits := net.Forward(victim)
+		if logits.Argmax() != label {
 			success = true
 			break
 		}
 		net.ZeroGrad()
-		_, dLogits := nn.SoftmaxCrossEntropy(net.Forward(victim), label)
+		_, dLogits := nn.SoftmaxCrossEntropy(logits, label)
 		net.Backward(dLogits)
 
 		type pg struct {

@@ -228,7 +228,12 @@ type QuantEvadeConfig struct {
 // doubling until the bound breaks and bisecting back; parameters whose
 // edits cannot satisfy both constraints (dead parameters, or ones
 // whose smallest effective step already crosses) are skipped, up to
-// Tries candidates. The returned perturbation is left applied.
+// Tries candidates; when none works the error wraps ErrNoEdit and the
+// network is as it was. The returned perturbation is left applied.
+//
+// Each probe runs one full forward pass on entry; every later check
+// re-runs only the layers from the edited parameter's layer on
+// (nn.Network.ForwardFrom), with results bit-identical to full passes.
 func QuantEvade(net *nn.Network, cfg QuantEvadeConfig, rng *rand.Rand) (*Perturbation, error) {
 	if len(cfg.Probes) == 0 {
 		return nil, fmt.Errorf("attack: QuantEvade needs at least one probe input")
@@ -257,16 +262,24 @@ func QuantEvade(net *nn.Network, cfg QuantEvadeConfig, rng *rand.Rand) (*Perturb
 		iters = 40
 	}
 
+	// One recorded pass per probe at the entry state: its logits are the
+	// references, and its layer inputs let every check re-run only the
+	// layers from the edited parameter's on. Each try edits one
+	// parameter and a failed try restores it, so the layers before that
+	// parameter's always hold their entry values.
+	recs := make([][]*tensor.Tensor, len(cfg.Probes))
 	refs := make([][]float64, len(cfg.Probes))
 	for i, x := range cfg.Probes {
-		refs[i] = append([]float64(nil), net.Forward(x).Data()...)
+		recs[i] = net.ForwardRecord(x)
+		refs[i] = recs[i][len(recs[i])-1].Data()
 	}
-	// check reports whether the applied edit evades (every probe output
-	// within bound, and in the reference's rounding bucket when
-	// InBucket) and whether it moved any output at all.
-	check := func() (evades, moved bool) {
-		for i, x := range cfg.Probes {
-			out := net.Forward(x).Data()
+	// check reports whether the applied edit, whose first changed layer
+	// is from, evades (every probe output within bound, and in the
+	// reference's rounding bucket when InBucket) and whether it moved
+	// any output at all.
+	check := func(from int) (evades, moved bool) {
+		for i, rec := range recs {
+			out := net.ForwardFrom(from, rec[from]).Data()
 			for j, v := range out {
 				ref := refs[i][j]
 				if v != ref {
@@ -286,14 +299,14 @@ func QuantEvade(net *nn.Network, cfg QuantEvadeConfig, rng *rand.Rand) (*Perturb
 	n := net.NumParams()
 	for try := 0; try < tries; try++ {
 		idx := rng.Intn(n)
-		old := net.ParamAt(idx)
+		old, from := net.ParamAt(idx), net.LayerOf(idx)
 		sign := 1.0
 		if rng.Intn(2) == 0 {
 			sign = -1
 		}
 		eval := func(d float64) (bool, bool) {
 			net.SetParamAt(idx, old+d)
-			return check()
+			return check(from)
 		}
 		lo, hi := 0.0, sign
 		violating := false
@@ -328,7 +341,7 @@ func QuantEvade(net *nn.Network, cfg QuantEvadeConfig, rng *rand.Rand) (*Perturb
 		}
 		net.SetParamAt(idx, old)
 	}
-	return nil, fmt.Errorf("attack: QuantEvade found no sub-boundary edit in %d candidates", tries)
+	return nil, &noEdit{fmt.Sprintf("attack: QuantEvade found no sub-boundary edit in %d candidates", tries)}
 }
 
 // AdaptiveConfig controls the suite-aware adaptive attacker.
@@ -361,7 +374,9 @@ func DefaultAdaptiveConfig() AdaptiveConfig {
 // that a non-trivial passing edit was found and applied. When every
 // probed scale is caught, the attacker is defeated: its best effort —
 // the smallest probed (and caught) edit — is left applied so a
-// campaign still measures a detection, and success is false.
+// campaign still measures a detection, and success is false. A
+// direction with zero gradients is an error wrapping ErrNoEdit; an
+// oracle error is returned as is, with the network restored.
 func Adaptive(net *nn.Network, victim *tensor.Tensor, label int, passes func(*nn.Network) (bool, error), cfg AdaptiveConfig, rng *rand.Rand) (*Perturbation, bool, error) {
 	if passes == nil {
 		return nil, false, fmt.Errorf("attack: Adaptive needs a replay oracle")
@@ -387,7 +402,7 @@ func Adaptive(net *nn.Network, victim *tensor.Tensor, label int, passes func(*nn
 		}
 	}
 	if maxAbs == 0 {
-		return nil, false, fmt.Errorf("attack: Adaptive found no damaging direction (zero gradients)")
+		return nil, false, &noEdit{"attack: Adaptive found no damaging direction (zero gradients)"}
 	}
 	unit := make([]float64, len(gp.Indices))
 	for k := range gp.Indices {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/parallel"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 	"repro/internal/validate"
 )
@@ -133,16 +135,18 @@ func trialSeed(seed int64, attack, trial int) int64 {
 	return int64(z)
 }
 
-// trialAttack builds and applies one edit. ok=false means the attacker
-// forfeited — it could not construct an edit and the network is
-// untouched; p is then nil or empty.
+// trialAttack builds and applies one edit. ok=false with a nil error
+// means the attacker forfeited — it found no edit and the network is
+// untouched; p is then nil or empty. An error fails the trial.
 type trialAttack func(net *nn.Network, rng *rand.Rand) (p *attack.Perturbation, ok bool, err error)
 
 // campaignAttack maps a kind and magnitude to a trial attack. The
 // suite view sv is the cell's comparison (the adaptive attacker
-// replays it as its oracle; the subround attacker probes its inputs),
-// and victims supplies triggers and GDA targets.
-func campaignAttack(kind string, mag float64, sv *validate.Suite, victims *data.Dataset, cfg CampaignConfig) (trialAttack, error) {
+// replays it as its oracle, through g; the subround attacker probes
+// its inputs), and victims supplies triggers and GDA targets. An
+// attacker that searched and found no edit (attack.ErrNoEdit)
+// forfeits; any other attacker error fails the trial.
+func campaignAttack(kind string, mag float64, sv *validate.Suite, g *golden, victims *data.Dataset, cfg CampaignConfig) (trialAttack, error) {
 	pickVictim := func(n *nn.Network, rng *rand.Rand) (x *tensor.Tensor, label int) {
 		// Prefer a correctly classified victim: GDA and the adaptive
 		// direction search have nothing to ascend on one the network
@@ -200,34 +204,101 @@ func campaignAttack(kind string, mag float64, sv *validate.Suite, victims *data.
 			Decimals: cfg.Decimals, Tol: cfg.Tol, Headroom: mag, Probes: sv.Inputs,
 		}
 		return func(n *nn.Network, rng *rand.Rand) (*attack.Perturbation, bool, error) {
-			p, err := attack.QuantEvade(n, qcfg, rng)
-			if err != nil {
-				// No sub-boundary direction among the candidates: the
-				// attacker forfeits, nothing was applied.
-				return nil, false, nil
-			}
-			return p, true, nil
+			return forfeitNoEdit(attack.QuantEvade(n, qcfg, rng))
 		}, nil
 	case "adaptive":
 		acfg := attack.AdaptiveConfig{Steps: 5, TopK: 50, MaxScale: mag, Iters: 20}
 		opts := validate.ValidateOptions{Tolerance: cfg.Tol}
+		oracle := func(m *nn.Network) (bool, error) {
+			detected, err := sv.DetectsWith(g.ip(m), opts)
+			return !detected, err
+		}
 		return func(n *nn.Network, rng *rand.Rand) (*attack.Perturbation, bool, error) {
 			x, label := pickVictim(n, rng)
-			oracle := func(m *nn.Network) (bool, error) {
-				detected, err := sv.DetectsWith(validate.LocalIP{Net: m}, opts)
-				return !detected, err
-			}
-			p, _, err := attack.Adaptive(n, x, label, oracle, acfg, rng)
-			if err != nil {
-				return nil, false, nil // no damaging direction: forfeit
-			}
 			// Defeated or not, the attacker's best-effort edit is
 			// applied and its detection measured.
-			return p, true, nil
+			p, _, err := attack.Adaptive(n, x, label, oracle, acfg, rng)
+			return forfeitNoEdit(p, err)
 		}, nil
 	default:
 		return nil, fmt.Errorf("experiments: unknown attack kind %q (have %s)", kind, strings.Join(CampaignKinds, ", "))
 	}
+}
+
+// forfeitNoEdit maps a searching attacker's result to a trial attack's:
+// no edit found is a forfeit, any other error fails the trial.
+func forfeitNoEdit(p *attack.Perturbation, err error) (*attack.Perturbation, bool, error) {
+	if errors.Is(err, attack.ErrNoEdit) {
+		return nil, false, nil
+	}
+	return p, err == nil, err
+}
+
+// golden is what the unedited network computes on the suite's inputs,
+// recorded once per campaign and shared read-only by every worker: its
+// parameters, and per test the input of every parameter-owning layer
+// plus the logits (nn.Network.ForwardRecord).
+type golden struct {
+	params []float64
+	recs   [][]*tensor.Tensor
+	test   map[*tensor.Tensor]int // suite input → test index
+}
+
+// recordGolden records net's parameters and its passes on inputs.
+func recordGolden(net *nn.Network, inputs []*tensor.Tensor) *golden {
+	g := &golden{params: net.CopyParams(), recs: make([][]*tensor.Tensor, len(inputs)), test: make(map[*tensor.Tensor]int, len(inputs))}
+	for i, x := range inputs {
+		g.recs[i] = net.ForwardRecord(x)
+		g.test[x] = i
+	}
+	return g
+}
+
+// ip returns an IP over net, a network with g's architecture, as its
+// parameters stand now. It finds the first layer whose parameters
+// differ bitwise from g's (−0 and +0 differ, NaNs compare by bits, so a
+// mismatch can only re-run more layers), answers a suite input by
+// re-running only the layers from that one on g's recorded input, and
+// memoises each test's answer. Answers are shared, read-only, and valid
+// while net is unchanged: take one IP per edit.
+func (g *golden) ip(net *nn.Network) *suffixIP {
+	from := len(net.LayerStack)
+	off := 0
+scan:
+	for _, p := range net.Params() {
+		for j, v := range p.W.Data() {
+			if math.Float64bits(v) != math.Float64bits(g.params[off+j]) {
+				from = net.LayerOf(off + j)
+				break scan
+			}
+		}
+		off += p.W.Size()
+	}
+	return &suffixIP{net: net, g: g, from: from, memo: make([]*tensor.Tensor, len(g.recs))}
+}
+
+// suffixIP is golden.ip's IP. It answers bit-identically to
+// validate.LocalIP on the same network: the layers before from hold
+// the recorded parameters, and a layer's output is a pure function of
+// its input and its own parameters.
+type suffixIP struct {
+	net  *nn.Network
+	g    *golden
+	from int
+	memo []*tensor.Tensor
+}
+
+// Query implements validate.IP. An input that is not one of the
+// suite's runs a full forward pass.
+func (ip *suffixIP) Query(x *tensor.Tensor) (*tensor.Tensor, error) {
+	i, ok := ip.g.test[x]
+	if !ok {
+		return ip.net.Forward(x).Clone(), nil
+	}
+	if ip.memo[i] == nil {
+		ip.memo[i] = ip.net.ForwardFrom(ip.from, ip.g.recs[i][ip.from])
+	}
+	return ip.memo[i], nil
 }
 
 // RunCampaign sweeps detection rate over kinds × modes × magnitudes.
@@ -247,7 +318,29 @@ func campaignAttack(kind string, mag float64, sv *validate.Suite, victims *data.
 // slots in kinds-major order: the result is bit-identical at any
 // worker count and schedule. If items fail, the error of the lowest
 // failing item is returned.
+//
+// Replays re-run only what an edit changed. Before workers claim
+// items, one worker's clone records the unedited parameters and the
+// suite inputs' layer inputs (golden). Every scoring replay and every
+// adaptive-oracle replay then runs from the first layer whose
+// parameters differ from that record, and an item's replays share one
+// answer per test across its modes, so an edit costs at most one
+// suffix forward per test.
 func RunCampaign(net *nn.Network, suite *validate.Suite, victims *data.Dataset, cfg CampaignConfig) (*CampaignResult, error) {
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = parallel.Auto()
+	}
+	nets := make([]*nn.Network, parallel.Workers(workers))
+	for w := range nets {
+		nets[w] = net.Clone()
+	}
+	return runCampaign(nets, suite, victims, cfg)
+}
+
+// runCampaign is RunCampaign on the given worker networks, one per
+// pool worker, all holding the same parameters.
+func runCampaign(nets []*nn.Network, suite *validate.Suite, victims *data.Dataset, cfg CampaignConfig) (*CampaignResult, error) {
 	if len(cfg.Kinds) == 0 {
 		cfg.Kinds = CampaignKinds
 	}
@@ -263,10 +356,10 @@ func RunCampaign(net *nn.Network, suite *validate.Suite, victims *data.Dataset, 
 	if victims == nil || victims.Len() == 0 {
 		return nil, fmt.Errorf("experiments: campaign needs a victim pool")
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = parallel.Auto()
+	if cfg.Decimals < 0 || cfg.Decimals > quant.MaxDecimals {
+		return nil, fmt.Errorf("experiments: campaign decimals %d out of range [0,%d]", cfg.Decimals, quant.MaxDecimals)
 	}
+	g := recordGolden(nets[0], suite.Inputs)
 
 	// One suite view per mode: same tests, the cell's comparison.
 	views := make([]*validate.Suite, len(cfg.Modes))
@@ -297,7 +390,7 @@ func RunCampaign(net *nn.Network, suite *validate.Suite, victims *data.Dataset, 
 		}
 		for _, modes := range groups {
 			for gi, mag := range cfg.Magnitudes {
-				atk, err := campaignAttack(kind, mag, views[modes[0]], victims, cfg)
+				atk, err := campaignAttack(kind, mag, views[modes[0]], g, victims, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -306,12 +399,8 @@ func RunCampaign(net *nn.Network, suite *validate.Suite, victims *data.Dataset, 
 		}
 	}
 
-	pool := parallel.NewPool(workers)
+	pool := parallel.NewPool(len(nets))
 	defer pool.Close()
-	nets := make([]*nn.Network, pool.Workers())
-	for w := range nets {
-		nets[w] = net.Clone()
-	}
 
 	nm, ng, nt := len(cfg.Modes), len(cfg.Magnitudes), cfg.Trials
 	// slot indexes a (kind, mode, magnitude, trial) verdict in the
@@ -336,6 +425,10 @@ func RunCampaign(net *nn.Network, suite *validate.Suite, victims *data.Dataset, 
 		// mode, so every mode replays the same edit sequence.
 		rng := rand.New(rand.NewSource(trialSeed(cfg.Seed, e.ki*ng+e.gi, ti)))
 		p, ok, err := e.atk(wnet, rng)
+		var ip *suffixIP
+		if ok {
+			ip = g.ip(wnet) // one IP per edit: its answers serve every mode
+		}
 		mode := e.modes[0]
 		for _, mi := range e.modes {
 			if err != nil {
@@ -348,7 +441,7 @@ func RunCampaign(net *nn.Network, suite *validate.Suite, victims *data.Dataset, 
 				continue
 			}
 			var caught bool
-			caught, err = views[mi].DetectsWith(validate.LocalIP{Net: wnet}, opts)
+			caught, err = views[mi].DetectsWith(ip, opts)
 			if caught {
 				detected[v] = 1
 			}

@@ -54,6 +54,7 @@ type Network struct {
 
 	offsets []int // flat offset of each Param across the whole network
 	flat    []*Param
+	layerOf []int // LayerStack index of the layer owning each Param
 	total   int
 }
 
@@ -67,23 +68,62 @@ func NewNetwork(layers ...Layer) *Network {
 func (n *Network) index() {
 	n.flat = n.flat[:0]
 	n.offsets = n.offsets[:0]
+	n.layerOf = n.layerOf[:0]
 	n.total = 0
-	for _, l := range n.LayerStack {
+	for li, l := range n.LayerStack {
 		for _, p := range l.Params() {
 			n.flat = append(n.flat, p)
 			n.offsets = append(n.offsets, n.total)
+			n.layerOf = append(n.layerOf, li)
 			n.total += p.W.Size()
 		}
 	}
 }
 
 // Forward runs the full stack and returns the logits.
-func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range n.LayerStack {
-		x = l.Forward(x)
+func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor { return n.ForwardFrom(0, x) }
+
+// ForwardFrom runs LayerStack[l:] on h, the input of layer l, and
+// returns the logits; l = len(LayerStack) returns h. Every layer's
+// Forward is a pure function of its input and its own parameters, so
+// when the layers before l hold the parameters h was recorded under
+// (ForwardRecord), the result is bit-identical to Forward on the
+// original input.
+//
+// Layers keep pointers to their inputs for the backward pass
+// (Conv2D.x, Dense.x, Activate.in) and Flatten returns a view of its
+// input, so a recorded input replayed many times is shared with those
+// caches. It stays valid only while nothing writes it: no layer writes
+// its input or a cached tensor today, and a backward pass or tape that
+// reused those buffers would have to copy them first.
+func (n *Network) ForwardFrom(l int, h *tensor.Tensor) *tensor.Tensor {
+	for _, layer := range n.LayerStack[l:] {
+		h = layer.Forward(h)
 	}
-	return x
+	return h
 }
+
+// ForwardRecord runs a full forward pass on x and records what a
+// suffix replay needs: entry l of the result is the input of layer l
+// when that layer owns parameters (nil otherwise), and the last entry,
+// at len(LayerStack), is the logits. After an edit whose first changed
+// parameter lies in layer l (LayerOf), ForwardFrom(l, rec[l]) gives the
+// edited network's logits; with no edit the logits are rec's own.
+func (n *Network) ForwardRecord(x *tensor.Tensor) []*tensor.Tensor {
+	rec := make([]*tensor.Tensor, len(n.LayerStack)+1)
+	for l, layer := range n.LayerStack {
+		if len(layer.Params()) > 0 {
+			rec[l] = x
+		}
+		x = layer.Forward(x)
+	}
+	rec[len(n.LayerStack)] = x
+	return rec
+}
+
+// LayerOf returns the LayerStack index of the layer whose Params hold
+// the i-th scalar parameter in flat order.
+func (n *Network) LayerOf(i int) int { return n.layerOf[n.locateParam(i)] }
 
 // Backward propagates dLogits through the stack (after a Forward),
 // accumulating parameter gradients, and returns the gradient with
@@ -112,6 +152,13 @@ func (n *Network) NumParams() int { return n.total }
 
 // locate maps a flat parameter index to its Param and inner offset.
 func (n *Network) locate(i int) (*Param, int) {
+	k := n.locateParam(i)
+	return n.flat[k], i - n.offsets[k]
+}
+
+// locateParam maps a flat parameter index to the index of its Param in
+// the registry.
+func (n *Network) locateParam(i int) int {
 	if i < 0 || i >= n.total {
 		panic(fmt.Sprintf("nn: parameter index %d out of range [0,%d)", i, n.total))
 	}
@@ -125,7 +172,7 @@ func (n *Network) locate(i int) (*Param, int) {
 			hi = mid - 1
 		}
 	}
-	return n.flat[lo], i - n.offsets[lo]
+	return lo
 }
 
 // ParamAt returns the value of the i-th scalar parameter in flat order.

@@ -25,10 +25,14 @@ import (
 // scratch the packed GEMM uses.
 //
 // Exactness. Every element receives the terms the im2col sequence gave
-// it, in the same order, with the same zero-skips, so the kernels are
-// bit-identical to it (conv_test.go pins each one against its im2col
-// reference, with NaN, ±Inf, −0 and subnormal values among the finite
-// ones):
+// it, in the same order, with the same zero-skips, so the kernels match
+// it in every value, infinity and signed zero and in where NaNs appear
+// (conv_test.go pins each one against its im2col reference, with the
+// platform's default NaN, ±Inf, −0 and subnormal values among the
+// finite ones). They do not match it in NaN payload bits: when two NaNs
+// with different payloads meet in one add or multiply, which payload
+// survives follows the operand order the compiler gives the commutative
+// instruction, not the source's term order:
 //
 //   - Forward: out[o,t] starts at +0, adds w[o,kk]·col[kk,t] for
 //     ascending kk, skipping w[o,kk] == 0 (the gemmPanelDirect
