@@ -41,6 +41,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -128,6 +129,45 @@ func saveModel(path string, network *nn.Network) error {
 	return network.Encode(f)
 }
 
+// modelDataset builds the named dataset and checks that network takes
+// its inputs, naming -data and -size when it does not.
+func modelDataset(network *nn.Network, kind string, n, size int, seed int64) (*data.Dataset, error) {
+	ds, err := dataset(kind, n, size, size, seed)
+	if err != nil {
+		return nil, err
+	}
+	if shape := []int{ds.C, ds.H, ds.W}; !takes(network, shape) {
+		return nil, fmt.Errorf("-data %s -size %d gives inputs %v, but the model takes %v", kind, size, shape, network.InputShape())
+	}
+	return ds, nil
+}
+
+// checkSuite returns an error naming -suite unless network takes every
+// input of suite.
+func checkSuite(network *nn.Network, suite *validate.Suite, path string) error {
+	for _, x := range suite.Inputs {
+		if !takes(network, x.Shape()) {
+			return fmt.Errorf("-suite %s holds inputs %v, but the model takes %v", path, x.Shape(), network.InputShape())
+		}
+	}
+	return nil
+}
+
+// takes reports whether network accepts one input of the given shape:
+// its input shape exactly, or the input size alone when its first
+// layer with a geometry is dense.
+func takes(network *nn.Network, shape []int) bool {
+	want := network.InputShape()
+	if len(want) == 1 {
+		size := 1
+		for _, d := range shape {
+			size *= d
+		}
+		return size == want[0]
+	}
+	return want == nil || slices.Equal(want, shape)
+}
+
 // dataset builds the named procedural dataset sized for the model kind.
 func dataset(kind string, n, h, w int, seed int64) (*data.Dataset, error) {
 	switch kind {
@@ -194,7 +234,7 @@ func cmdGenerate(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	method := fs.String("method", "combined", "generator: combined, select, gradient")
 	par := fs.Int("parallel", parallel.Auto(), "worker goroutines (suite is bit-identical at any value)")
-	batch := fs.Int("batch", 0, "evaluation batch size per worker: 0 = default, 1 = per-sample (suite is bit-identical at any value)")
+	batch := fs.Int("batch", 0, "evaluation batch size per worker: 0 = default, 1 = one input at a time (suite is bit-identical at any value)")
 	mode := fs.String("mode", "exact", "comparison mode sealed into the suite: exact (bit-identical outputs, the paper's setting), quantized (outputs rounded to -decimals; enables the v4 quantised wire replay), labels (argmax only)")
 	decimals := fs.Int("decimals", 6, "decimal precision of -mode quantized")
 	key := fs.String("key", "", "seal the suite with this key (hex-free shared secret)")
@@ -213,7 +253,7 @@ func cmdGenerate(args []string) error {
 	if err != nil {
 		return err
 	}
-	ds, err := dataset(*dsKind, *pool, *size, *size, *seed+100)
+	ds, err := modelDataset(network, *dsKind, *pool, *size, *seed+100)
 	if err != nil {
 		return err
 	}
@@ -222,12 +262,6 @@ func cmdGenerate(args []string) error {
 	opts.Seed = *seed
 	opts.Parallelism = *par
 	opts.Batch = *batch
-	// Run the generator fan-outs on one persistent worker pool with
-	// pinned clones; the suite is bit-identical to the pool-less path at
-	// the same worker count.
-	workerPool := parallel.NewPool(*par)
-	defer workerPool.Close()
-	opts.Pool = workerPool
 
 	var res *core.Result
 	switch *method {
@@ -310,7 +344,7 @@ func cmdAttack(args []string) error {
 		p, err = attack.SBA(network, *magnitude, rng)
 	case "gda":
 		var ds *data.Dataset
-		ds, err = dataset(*dsKind, 10, *size, *size, *seed+100)
+		ds, err = modelDataset(network, *dsKind, 10, *size, *seed+100)
 		if err != nil {
 			return err
 		}
@@ -331,7 +365,7 @@ func cmdAttack(args []string) error {
 		p, err = attack.TargetedBitFlip(network, *count, uint(*bit), rng)
 	case "trojan":
 		var ds *data.Dataset
-		ds, err = dataset(*dsKind, 12, *size, *size, *seed+100)
+		ds, err = modelDataset(network, *dsKind, 12, *size, *seed+100)
 		if err != nil {
 			return err
 		}
@@ -348,7 +382,7 @@ func cmdAttack(args []string) error {
 		}
 	case "subround":
 		var ds *data.Dataset
-		ds, err = dataset(*dsKind, 8, *size, *size, *seed+200)
+		ds, err = modelDataset(network, *dsKind, 8, *size, *seed+200)
 		if err != nil {
 			return err
 		}
@@ -417,7 +451,7 @@ func runAttackCampaign(network *nn.Network, f attackCampaignFlags) error {
 		cfg.Magnitudes = append(cfg.Magnitudes, mag)
 	}
 
-	victims, err := dataset(f.dsKind, f.pool, f.size, f.size, f.seed+100)
+	victims, err := modelDataset(network, f.dsKind, f.pool, f.size, f.seed+100)
 	if err != nil {
 		return err
 	}
@@ -434,10 +468,13 @@ func runAttackCampaign(network *nn.Network, f attackCampaignFlags) error {
 		if suite, err = validate.OpenSuite(sf, []byte(f.key)); err != nil {
 			return err
 		}
+		if err := checkSuite(network, suite, f.suitePath); err != nil {
+			return err
+		}
 	} else {
 		// No sealed suite given: build one on the model in-process. The
 		// campaign overrides its mode and decimals per cell anyway.
-		probes, err := dataset(f.dsKind, f.suiteN, f.size, f.size, f.seed+200)
+		probes, err := modelDataset(network, f.dsKind, f.suiteN, f.size, f.seed+200)
 		if err != nil {
 			return err
 		}
@@ -575,6 +612,9 @@ func cmdValidate(args []string) error {
 	case *model != "":
 		network, err := loadModel(*model)
 		if err != nil {
+			return err
+		}
+		if err := checkSuite(network, suite, *suitePath); err != nil {
 			return err
 		}
 		// Concurrent local replay needs per-worker clones; the serial

@@ -379,6 +379,47 @@ func TestCLIAttackCampaign(t *testing.T) {
 	}
 }
 
+// TestCLIShapeMismatchIsAnError: a model run on data or on a suite of
+// another input shape exits non-zero with one line naming the flag to
+// change, not with a panic.
+func TestCLIShapeMismatchIsAnError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI workflow is slow")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	tanh, relu := filepath.Join(dir, "tanh.gob"), filepath.Join(dir, "relu.gob")
+	tanhSuite := filepath.Join(dir, "tanh.suite")
+	for _, args := range [][]string{
+		{"train", "-arch", "mnist", "-size", "16", "-scale", "0.25", "-n", "40", "-epochs", "1", "-seed", "1", "-o", tanh},
+		{"train", "-arch", "cifar", "-size", "16", "-scale", "0.25", "-n", "40", "-epochs", "1", "-seed", "2", "-o", relu},
+		{"generate", "-model", tanh, "-data", "digits", "-size", "16", "-n", "4", "-pool", "20", "-key", "k1", "-o", tanhSuite},
+	} {
+		if out, err := run(t, bin, args...); err != nil {
+			t.Fatalf("%s: %v\n%s", args[0], err, out)
+		}
+	}
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		// The default -data objects -size 20 does not fit the 16×16 digits model.
+		{[]string{"generate", "-model", tanh, "-method", "combined", "-n", "12", "-seed", "1", "-key", "k1", "-o", filepath.Join(dir, "x.suite")}, "-data objects -size 20"},
+		{[]string{"validate", "-model", relu, "-suite", tanhSuite, "-key", "k1"}, "-suite " + tanhSuite},
+	} {
+		out, err := run(t, bin, c.args...)
+		if err == nil {
+			t.Fatalf("%s on mismatched shapes succeeded:\n%s", c.args[0], out)
+		}
+		if strings.Contains(out, "panic:") || strings.Contains(out, "goroutine") {
+			t.Fatalf("%s on mismatched shapes panicked:\n%s", c.args[0], out)
+		}
+		if lines := strings.Split(strings.TrimSpace(out), "\n"); len(lines) != 1 || !strings.Contains(out, c.flag) {
+			t.Fatalf("%s on mismatched shapes: want one line naming %q, got:\n%s", c.args[0], c.flag, out)
+		}
+	}
+}
+
 func TestCLIUnknownSubcommand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI workflow is slow")

@@ -278,13 +278,17 @@ func TestQuantEvadeMatchesFullForwardReference(t *testing.T) {
 }
 
 // counter is a parameter-free identity layer that counts its forward
-// passes.
+// passes, batched or a batch of one.
 type counter struct{ forwards int }
 
-func (c *counter) Forward(x *tensor.Tensor) *tensor.Tensor  { c.forwards++; return x }
-func (c *counter) Backward(d *tensor.Tensor) *tensor.Tensor { return d }
-func (c *counter) Params() []*nn.Param                      { return nil }
-func (c *counter) Name() string                             { return "counter" }
+func (c *counter) Forward(x *tensor.Tensor) *tensor.Tensor               { c.forwards++; return x }
+func (c *counter) ForwardBatch(x *tensor.Tensor) *tensor.Tensor          { c.forwards++; return x }
+func (c *counter) BackwardBatch(d *tensor.Tensor) *tensor.Tensor         { return d }
+func (c *counter) BackwardBatchInput(d *tensor.Tensor) *tensor.Tensor    { return d }
+func (c *counter) BackwardSample(_ int, d *tensor.Tensor) *tensor.Tensor { return d }
+func (c *counter) ReleaseBatchState()                                    {}
+func (c *counter) Params() []*nn.Param                                   { return nil }
+func (c *counter) Name() string                                          { return "counter" }
 
 // withCounters returns a copy of net between two counters: one in
 // front of the first layer and one after the logits.

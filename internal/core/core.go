@@ -12,9 +12,10 @@
 //   - Combined (§IV-D) runs Algorithm 1 until its marginal coverage per
 //     test falls below what Algorithm 2 achieves, then switches.
 //
-// The neuron-coverage greedy baseline of the hardware-testing literature
-// (Ma et al. [11]) and a random-selection baseline complete the set the
-// evaluation compares (Tables II/III).
+// The neuron-coverage fuzzing baseline of the hardware-testing
+// literature (NeuronFuzz; DeepXplore [10], Ma et al. [11]) and a
+// random-selection baseline complete the set the evaluation compares
+// (Tables II/III).
 package core
 
 import (
@@ -82,11 +83,12 @@ type Options struct {
 	// as in Fig. 3.
 	StopOnZeroGain bool
 	// Parallelism is the number of worker goroutines candidate
-	// evaluation fans out across: activation extraction and per-class
-	// synthesis split their work, each worker on its own clone of the
-	// network. Values <= 1 run serially. Every parallel path is
-	// bit-identical to the serial one for a fixed Seed, so this is
-	// purely a speed knob.
+	// evaluation fans out across: each generator runs a persistent
+	// worker pool of this size for its whole run, with one clone of the
+	// network pinned to each worker, and activation extraction and
+	// per-class synthesis split their work across it. Values <= 1 run
+	// serially. Every parallel path is bit-identical to the serial one
+	// for a fixed Seed, so this is purely a speed knob.
 	Parallelism int
 	// Batch is the evaluation batch size within each worker: activation
 	// extraction and synthesis stack up to Batch inputs and run the
@@ -94,23 +96,13 @@ type Options struct {
 	// for the whole batch. Zero selects per-workload defaults —
 	// synthesis runs at coverage.DefaultBatch (its batched backward is
 	// input-only and takes ~20% less time; see coverage.DefaultBatch),
-	// while activation extraction stays per-sample (its per-sample ∇θ
-	// backward dominates and measures no win from batching); 1 forces
-	// the per-sample path everywhere; larger values apply to both
-	// workloads. Batched evaluation is bit-identical to per-sample at
-	// any size, so this too is purely a speed knob.
+	// while activation extraction takes one input at a time (its
+	// per-sample ∇θ backward dominates and measures no win from
+	// batching); 1 takes one input at a time everywhere, each a batch of
+	// one; larger values apply to both workloads. Results are
+	// bit-identical at any batch size, so this too is purely a speed
+	// knob.
 	Batch int
-	// Pool, when set, runs the generator fan-outs (activation
-	// extraction, per-class synthesis) on this persistent worker pool
-	// with per-worker pinned network clones, instead of spawning
-	// goroutines and cloning per call — the construction cost of the
-	// clones is paid once per run and amortised across every generator
-	// phase. The pool's worker count takes the place of Parallelism, and
-	// the suite is bit-identical to Parallelism = Pool.Workers() without
-	// a pool: pinning is purely a speed knob, like every other knob
-	// here. The caller owns the pool (Close it after the run); the
-	// generators dispatch on it from one goroutine at a time.
-	Pool *parallel.Pool
 }
 
 // DefaultOptions returns the options used throughout the evaluation.
@@ -127,12 +119,9 @@ func DefaultOptions(maxTests int) Options {
 	}
 }
 
-// workers resolves the Parallelism knob.
-func (o Options) workers() int { return parallel.Workers(o.Parallelism) }
-
 // extractionBatch resolves the Batch knob for activation extraction:
-// per-sample unless an explicit batch was requested (negatives mean
-// "unset", like zero).
+// one input at a time unless an explicit batch was requested (negatives
+// mean "unset", like zero).
 func (o Options) extractionBatch() int {
 	if o.Batch <= 0 {
 		return 1
@@ -206,6 +195,7 @@ func SelectFromTraining(net *nn.Network, train *data.Dataset, opts Options) (*Re
 		return nil, fmt.Errorf("core: empty training set")
 	}
 	rt := newGenRuntime(net, opts)
+	defer rt.close()
 	sets := rt.paramSets(train)
 	acc := coverage.NewAccumulator(net.NumParams())
 	used := make([]bool, train.Len())
@@ -264,9 +254,12 @@ func residualNet(net *nn.Network, covered *bitset.Set) *nn.Network {
 // steps on the input so that target classifies it as class label,
 // starting from zeros (paper) or Gaussian noise. T is an upper bound:
 // the loop stops at the first step that leaves the input bit-for-bit
-// unchanged, and the result is the same as after all T steps.
+// unchanged, and the result is the same as after all T steps. The input
+// runs as a batch of one.
 func Synthesize(target *nn.Network, inShape []int, label int, opts Options, rng *rand.Rand) *tensor.Tensor {
-	return synthSteps(target, synthInit(inShape, opts, rng), label, opts)
+	x := synthInit(inShape, opts, rng)
+	synthStepsBatch(target, []*tensor.Tensor{x}, label, opts)
+	return x
 }
 
 // synthInit returns Algorithm 2's starting input, consuming rng exactly
@@ -280,43 +273,20 @@ func synthInit(inShape []int, opts Options, rng *rand.Rand) *tensor.Tensor {
 	return x
 }
 
-// synthSteps runs the T gradient steps of Algorithm 2 on x in place and
-// returns it. It mutates target's gradient accumulators and layer
+// synthStepsBatch runs the T gradient steps of Algorithm 2 on a stack
+// of inputs simultaneously, xs[i] targeting class firstLabel+i, and
+// writes the results back into xs. Each step is one batched
+// forward/backward pass, so the per-class matrix products fuse into
+// large per-layer GEMMs; every input row evolves by exactly the
+// operation sequence it gets as a batch of one, so the synthesised
+// inputs are bit-identical at any batch size. It mutates target's layer
 // caches, so concurrent callers need their own clone of target.
 //
-// A step is a pure function of x's bits (η is constant and there is no
-// momentum), so a step that leaves x bit-for-bit unchanged would repeat
-// itself through step T: the loop stops there, with the same result.
-func synthSteps(target *nn.Network, x *tensor.Tensor, label int, opts Options) *tensor.Tensor {
-	prev := make([]float64, x.Size())
-	for t := 0; t < opts.Steps; t++ {
-		copy(prev, x.Data())
-		target.ZeroGrad()
-		logits := target.Forward(x)
-		_, dLogits := nn.SoftmaxCrossEntropy(logits, label)
-		dx := target.Backward(dLogits)
-		x.AddScaled(-opts.Eta, dx)
-		if opts.Clamp {
-			x.Clamp(0, 1)
-		}
-		if sameBits(prev, x.Data()) {
-			break
-		}
-	}
-	return x
-}
-
-// synthStepsBatch runs the T gradient steps of Algorithm 2 on a stack
-// of inputs simultaneously, xs[i] targeting class firstLabel+i. Each
-// step is one batched forward/backward pass, so the per-class matrix
-// products fuse into large per-layer GEMMs; every input row evolves by
-// exactly the per-sample operation sequence, so the synthesised inputs
-// are bit-identical to running synthSteps class by class.
-//
-// That independence also makes the early stop exact: a step that
-// leaves the whole batch bit-for-bit unchanged leaves every row at a
-// fixed point (see synthSteps), so the loop stops there. A row that
-// stops before the others stays in the batch and keeps its bits.
+// A step is a pure function of a row's bits (η is constant and there
+// is no momentum), so a step that leaves the whole batch bit-for-bit
+// unchanged leaves every row at a fixed point that would repeat itself
+// through step T: the loop stops there, with the same result. A row
+// that stops before the others stays in the batch and keeps its bits.
 func synthStepsBatch(target *nn.Network, xs []*tensor.Tensor, firstLabel int, opts Options) {
 	x := tensor.Stack(xs)
 	labels := make([]int, len(xs))
@@ -329,8 +299,8 @@ func synthStepsBatch(target *nn.Network, xs []*tensor.Tensor, firstLabel int, op
 		logits := target.ForwardBatch(x)
 		_, dLogits := nn.SoftmaxCrossEntropyBatch(logits, labels)
 		// Synthesis never reads parameter gradients, so the input-only
-		// backward skips the dW/db work entirely (the per-sample path
-		// computes and discards it); the dx rows are bit-identical.
+		// backward skips the dW/db work entirely; the dx rows are
+		// bit-identical to the full backward's.
 		dx := target.BackwardBatchInput(dLogits)
 		x.AddScaled(-opts.Eta, dx)
 		if opts.Clamp {
@@ -358,47 +328,11 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// synthesizeBatch synthesises one input per class c in [0,classes)
-// against target. The rng draws happen serially in class order — the
-// identical stream to calling Synthesize class by class — and the
-// gradient-descent work then fans out across workers, each on its own
-// clone of target and each running its contiguous class chunk through
-// the batched engine, so the outputs are bit-identical to the serial
-// per-class loop at any worker count and batch size.
-func synthesizeBatch(target *nn.Network, inShape []int, classes int, opts Options, rng *rand.Rand) []*tensor.Tensor {
-	xs := make([]*tensor.Tensor, classes)
-	for c := range xs {
-		xs[c] = synthInit(inShape, opts, rng)
-	}
-	workers := parallel.Effective(classes, opts.workers())
-	if workers <= 1 {
-		runSynth(target, xs, 0, classes, opts)
-		return xs
-	}
-	clones := make([]*nn.Network, workers)
-	for w := range clones {
-		clones[w] = target.Clone()
-	}
-	parallel.For(classes, workers, func(w, lo, hi int) {
-		runSynth(clones[w], xs, lo, hi, opts)
-	})
-	return xs
-}
-
 // runSynth drives the synthesis of xs[lo:hi] on net (xs[c] targeting
-// class c), batching up to opts.synthesisBatch() classes per pass; the
-// shared worker body of the per-call-clone and pool-pinned paths. With
-// batching on, a one-class chunk (every chunk once Parallelism reaches
-// the class count) is a batch of one, so it too runs the input-only
-// backward; only Batch 1 takes the per-sample path.
+// class c), batching up to opts.synthesisBatch() classes per pass; a
+// one-class chunk is a batch of one.
 func runSynth(net *nn.Network, xs []*tensor.Tensor, lo, hi int, opts Options) {
 	bsz := opts.synthesisBatch()
-	if bsz <= 1 {
-		for c := lo; c < hi; c++ {
-			synthSteps(net, xs[c], c, opts)
-		}
-		return
-	}
 	for s := lo; s < hi; s += bsz {
 		synthStepsBatch(net, xs[s:min(s+bsz, hi)], s, opts)
 	}
@@ -422,8 +356,16 @@ func SynthesisFrom(net *nn.Network, inShape []int, classes int, opts Options, st
 	if classes <= 0 {
 		return nil, fmt.Errorf("core: classes must be positive, got %d", classes)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
 	rt := newGenRuntime(net, opts)
+	defer rt.close()
+	return rt.synthesisFrom(inShape, classes, opts, start), nil
+}
+
+// synthesisFrom is SynthesisFrom on the run's workers, with opts in
+// place of the runtime's own (Combined's tail has a smaller budget).
+func (rt *genRuntime) synthesisFrom(inShape []int, classes int, opts Options, start *bitset.Set) *Result {
+	net := rt.net
+	rng := rand.New(rand.NewSource(opts.Seed))
 	acc := coverage.NewAccumulator(net.NumParams())
 	if start != nil {
 		acc.Add(start)
@@ -458,7 +400,7 @@ func SynthesisFrom(net *nn.Network, inShape []int, classes int, opts Options, st
 		dry = roundGain == 0
 	}
 	res.Covered = acc.Set()
-	return res, nil
+	return res
 }
 
 // Combined implements §IV-D: Algorithm 1 until its next marginal gain
@@ -478,6 +420,7 @@ func Combined(net *nn.Network, train *data.Dataset, opts Options) (*Result, erro
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	rt := newGenRuntime(net, opts)
+	defer rt.close()
 	sets := rt.paramSets(train)
 	acc := coverage.NewAccumulator(net.NumParams())
 	used := make([]bool, train.Len())
@@ -517,10 +460,7 @@ func Combined(net *nn.Network, train *data.Dataset, opts Options) (*Result, erro
 		if remaining := opts.MaxTests - len(res.Tests); remaining > 0 {
 			tailOpts := opts
 			tailOpts.MaxTests = remaining
-			tail, err := SynthesisFrom(net, inShape, classes, tailOpts, acc.Set())
-			if err != nil {
-				return nil, err
-			}
+			tail := rt.synthesisFrom(inShape, classes, tailOpts, acc.Set())
 			tailSets := rt.paramSetsOf(tail.Tests)
 			for i := range tail.Tests {
 				acc.Add(tailSets[i])
@@ -555,65 +495,14 @@ func RandomSelect(net *nn.Network, train *data.Dataset, opts Options) (*Result, 
 	for j, idx := range picks {
 		xs[j] = train.Samples[idx].X
 	}
-	sets := newGenRuntime(net, opts).paramSetsOf(xs)
+	rt := newGenRuntime(net, opts)
+	defer rt.close()
+	sets := rt.paramSetsOf(xs)
 	for j, idx := range picks {
 		s := train.Samples[idx]
 		acc.Add(sets[j])
 		res.add(s.X, s.Label, FromTraining, acc.Coverage())
 	}
 	res.Covered = acc.Set()
-	return res, nil
-}
-
-// NeuronGreedy is the baseline of Tables II/III: greedy selection from
-// the training set maximising *neuron* coverage (Ma et al. [11]). Once
-// neuron coverage saturates, the remaining budget is filled with random
-// training samples, as additional tests cannot improve the criterion.
-// The Curve still records *parameter* coverage so the two criteria can
-// be compared on the same axis.
-func NeuronGreedy(net *nn.Network, train *data.Dataset, ncfg coverage.NeuronConfig, opts Options) (*Result, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if train.Len() == 0 {
-		return nil, fmt.Errorf("core: empty training set")
-	}
-	inShape := []int{train.C, train.H, train.W}
-	nNeurons := coverage.NumNeurons(net, inShape)
-	rt := newGenRuntime(net, opts)
-	workers := rt.workers()
-
-	neuronSets := rt.neuronSets(train, ncfg)
-	used := make([]bool, train.Len())
-	nAcc := coverage.NewAccumulator(nNeurons)
-	pAcc := coverage.NewAccumulator(net.NumParams())
-	scan := newGreedyScanner(neuronSets, nAcc, workers)
-	rng := rand.New(rand.NewSource(opts.Seed))
-	res := &Result{SwitchPoint: -1}
-
-	add := func(i int) {
-		used[i] = true
-		nAcc.Add(neuronSets[i])
-		s := train.Samples[i]
-		pAcc.Add(coverage.ParamActivation(net, s.X, opts.Coverage))
-		res.add(s.X, s.Label, FromTraining, pAcc.Coverage())
-	}
-
-	for len(res.Tests) < opts.MaxTests {
-		best, bestGain := scan.next(nAcc, used)
-		if best < 0 || bestGain == 0 {
-			break // neuron coverage saturated
-		}
-		add(best)
-	}
-	for _, i := range rng.Perm(train.Len()) {
-		if len(res.Tests) >= opts.MaxTests {
-			break
-		}
-		if !used[i] {
-			add(i)
-		}
-	}
-	res.Covered = pAcc.Set()
 	return res, nil
 }

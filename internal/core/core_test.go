@@ -42,8 +42,8 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := RandomSelect(net, &data.Dataset{}, DefaultOptions(5)); err == nil {
 		t.Error("empty training set accepted by RandomSelect")
 	}
-	if _, err := NeuronGreedy(net, &data.Dataset{}, coverage.NeuronConfig{}, DefaultOptions(5)); err == nil {
-		t.Error("empty training set accepted by NeuronGreedy")
+	if _, err := NeuronFuzz(net, &data.Dataset{}, coverage.NeuronConfig{}, DefaultMutationConfig(), DefaultOptions(5)); err == nil {
+		t.Error("empty training set accepted by NeuronFuzz")
 	}
 }
 
@@ -313,35 +313,7 @@ func TestRandomSelectDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestNeuronGreedyBudgetAndFill(t *testing.T) {
-	net := trainedDigitsNet()
-	ds := digitsTrainSet()
-	res, err := NeuronGreedy(net, ds, coverage.NeuronConfig{}, DefaultOptions(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tests) != 20 {
-		t.Fatalf("%d tests, want 20", len(res.Tests))
-	}
-	// All from the training set.
-	for i, src := range res.Sources {
-		if src != FromTraining {
-			t.Fatalf("source[%d] = %v", i, src)
-		}
-	}
-	// No duplicate test inputs (fill must respect used flags).
-	seen := map[*[0]byte]bool{}
-	_ = seen
-	ptrs := map[any]bool{}
-	for _, x := range res.Tests {
-		if ptrs[x] {
-			t.Fatal("duplicate sample selected")
-		}
-		ptrs[x] = true
-	}
-}
-
-func TestNeuronGreedyParamCoverageBelowCombined(t *testing.T) {
+func TestNeuronFuzzParamCoverageBelowCombined(t *testing.T) {
 	// The paper's core claim (Tables II/III): at equal budget, neuron
 	// coverage suites cover fewer parameters than the proposed method.
 	net := trainedDigitsNet()
@@ -352,12 +324,12 @@ func TestNeuronGreedyParamCoverageBelowCombined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	neu, err := NeuronGreedy(net, ds, coverage.NeuronConfig{}, DefaultOptions(15))
+	neu, err := NeuronFuzz(net, ds, coverage.NeuronConfig{}, DefaultMutationConfig(), DefaultOptions(15))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if neu.FinalCoverage() > comb.FinalCoverage()+1e-9 {
-		t.Fatalf("neuron-greedy param coverage %.4f exceeds combined %.4f", neu.FinalCoverage(), comb.FinalCoverage())
+		t.Fatalf("neuron-fuzz param coverage %.4f exceeds combined %.4f", neu.FinalCoverage(), comb.FinalCoverage())
 	}
 }
 

@@ -10,14 +10,13 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/coverage"
 	"repro/internal/nn"
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
-// These tests pin Algorithm 2's early-stopping step loops against the
-// T-step loops they replaced. The old loops are replicated verbatim
-// here (they are the reference); synthSteps and synthStepsBatch must
-// reproduce them bit for bit while running fewer passes.
+// These tests pin Algorithm 2's early-stopping step loop against the
+// T-step loops it replaced. The old loops are replicated verbatim here
+// (they are the reference); synthStepsBatch must reproduce them bit for
+// bit while running fewer passes, on a batch and on a batch of one.
 
 // refSynthSteps is the T-step per-sample loop.
 func refSynthSteps(target *nn.Network, x *tensor.Tensor, label int, opts Options) *tensor.Tensor {
@@ -56,17 +55,16 @@ func refSynthStepsBatch(target *nn.Network, xs []*tensor.Tensor, firstLabel int,
 	}
 }
 
-// passCounter wraps a network's first layer and records its passes:
-// the number of per-sample forwards and the batch dimension of every
-// batched forward.
+// passCounter wraps a network's first layer and records the batch
+// dimension of each of its forward passes; a single sample is a batch
+// of one.
 type passCounter struct {
 	nn.BatchLayer
-	forwards int
-	dims     []int
+	dims []int
 }
 
 func (p *passCounter) Forward(x *tensor.Tensor) *tensor.Tensor {
-	p.forwards++
+	p.dims = append(p.dims, 1)
 	return p.BatchLayer.Forward(x)
 }
 
@@ -195,11 +193,12 @@ func TestSynthStepsMatchReference(t *testing.T) {
 }
 
 // checkSynthBatch synthesises n rows targeting classes first..first+n-1
-// with the reference and the early-stopping loops, batched and per
-// sample, and requires equal bits. It returns each row's per-sample
-// pass count, and requires the batch to run on all n rows for as many
-// passes as its slowest row: a row is unchanged at every step from its
-// first unchanged one on, so the whole batch is first unchanged there.
+// with the reference and the early-stopping loops, as one batch and
+// each row as a batch of one, and requires equal bits. It returns each
+// row's pass count alone, and requires the batch to run on all n rows
+// for as many passes as its slowest row: a row is unchanged at every
+// step from its first unchanged one on, so the whole batch is first
+// unchanged there.
 func checkSynthBatch(t *testing.T, tg synthTarget, opts Options, n, first int) []int {
 	t.Helper()
 	name := fmt.Sprintf("%s init=%d clamp=%t n=%d first=%d", tg.name, opts.Init, opts.Clamp, n, first)
@@ -208,18 +207,19 @@ func checkSynthBatch(t *testing.T, tg synthTarget, opts Options, n, first int) [
 	want := clones(start)
 	refSynthStepsBatch(tg.net.Clone(), want, first, opts)
 
-	// Batched rows equal per-sample ones, so the per-sample loop is held
-	// against the batched reference; a single row also against the
-	// per-sample reference.
+	// Batched rows equal rows alone, so each row alone is held against
+	// the batched reference; a single row also against the per-sample
+	// reference.
 	single, spc := counted(tg.net)
 	passes := make([]int, n)
 	for i := range start {
-		before := spc.forwards
-		g := synthSteps(single, start[i].Clone(), first+i, opts)
-		requireSameBits(t, fmt.Sprintf("%s row %d (per-sample)", name, i), g, want[i])
-		passes[i] = spc.forwards - before
+		before := len(spc.dims)
+		g := start[i].Clone()
+		synthStepsBatch(single, []*tensor.Tensor{g}, first+i, opts)
+		requireSameBits(t, fmt.Sprintf("%s row %d (alone)", name, i), g, want[i])
+		passes[i] = len(spc.dims) - before
 		if passes[i] < 1 || passes[i] > opts.Steps {
-			t.Fatalf("%s row %d: %d per-sample passes, want 1..T = %d", name, i, passes[i], opts.Steps)
+			t.Fatalf("%s row %d: %d passes alone, want 1..T = %d", name, i, passes[i], opts.Steps)
 		}
 	}
 	if n == 1 {
@@ -241,9 +241,9 @@ func checkSynthBatch(t *testing.T, tg synthTarget, opts Options, n, first int) [
 // TestSynthPassCounts counts the passes the early-stopping loops run.
 // With an all-zero first convolution the input gradient is exactly
 // zero, so every row is a fixed point after one step: the batch runs
-// one pass where the T-step loop ran T, and so does each per-sample
-// synthesis. On the sharpened net the rows stop at different steps,
-// all before T, and the batch runs until its slowest row stops.
+// one pass where the T-step loop ran T, and so does a row alone. On
+// the sharpened net the rows stop at different steps, all before T,
+// and the batch runs until its slowest row stops.
 func TestSynthPassCounts(t *testing.T) {
 	zc := zeroConvNet(trainedDigitsNet())
 	for _, init := range []InitMode{ZeroInit, GaussianInit} {
@@ -268,9 +268,9 @@ func TestSynthPassCounts(t *testing.T) {
 		}
 
 		single, spc := counted(zc)
-		synthSteps(single, start[0].Clone(), 3, opts)
-		if spc.forwards != 1 {
-			t.Fatalf("init %d: %d per-sample passes, want 1", init, spc.forwards)
+		synthStepsBatch(single, []*tensor.Tensor{start[0].Clone()}, 3, opts)
+		if !slices.Equal(spc.dims, []int{1}) {
+			t.Fatalf("init %d: batch dims %v alone, want one pass of 1 row", init, spc.dims)
 		}
 	}
 
@@ -285,7 +285,7 @@ func TestSynthPassCounts(t *testing.T) {
 // TestParamSetsOfRepeats: extracting each distinct input once gives
 // every slot the set coverage.ParamSetsOf gives it without
 // deduplication, and repeated slots hold distinct *bitset.Set objects,
-// with and without a pool.
+// on one worker and on several.
 func TestParamSetsOfRepeats(t *testing.T) {
 	net := trainedDigitsNet()
 	ds := digitsTrainSet()
@@ -296,21 +296,21 @@ func TestParamSetsOfRepeats(t *testing.T) {
 	cfg := coverage.DefaultConfig(net)
 	want := coverage.ParamSetsOf(net, xs, cfg, 1, 1)
 
-	pool := parallel.NewPool(3)
-	defer pool.Close()
 	for _, o := range []Options{
 		{Coverage: cfg, Parallelism: 1},
 		{Coverage: cfg, Parallelism: 3, Batch: 3},
-		{Coverage: cfg, Pool: pool, Batch: 2},
+		{Coverage: cfg, Parallelism: 2, Batch: 2},
 	} {
-		got := newGenRuntime(net, o).paramSetsOf(xs)
+		rt := newGenRuntime(net, o)
+		got := rt.paramSetsOf(xs)
+		rt.close()
 		seen := map[*bitset.Set]bool{}
 		for i := range xs {
 			if !got[i].Equal(want[i]) {
-				t.Fatalf("pool=%t batch=%d: slot %d differs from ParamSetsOf", o.Pool != nil, o.Batch, i)
+				t.Fatalf("workers=%d batch=%d: slot %d differs from ParamSetsOf", o.Parallelism, o.Batch, i)
 			}
 			if seen[got[i]] {
-				t.Fatalf("pool=%t batch=%d: slot %d shares its set with an earlier slot", o.Pool != nil, o.Batch, i)
+				t.Fatalf("workers=%d batch=%d: slot %d shares its set with an earlier slot", o.Parallelism, o.Batch, i)
 			}
 			seen[got[i]] = true
 		}
@@ -336,23 +336,22 @@ func TestSameBits(t *testing.T) {
 }
 
 // TestSynthesisBatchesOneClassChunks: at Parallelism 10 each worker
-// synthesises one of the ten classes. With batching on (the default),
-// that one-class chunk is a batch of one through the input-only
-// backward, so no worker runs a per-sample pass; Batch 1 still forces
-// the per-sample path. Both give the serial per-sample inputs.
+// synthesises one of the ten classes, a batch of one through the
+// input-only backward, at Batch 0 (the default) and at Batch 1 alike.
+// Both give the inputs one worker synthesises class by class.
 func TestSynthesisBatchesOneClassChunks(t *testing.T) {
 	const classes = 10
 	net := trainedDigitsNet()
-	pool := parallel.NewPool(classes)
-	defer pool.Close()
 	inShape := []int{1, 12, 12}
 	for _, init := range []InitMode{ZeroInit, GaussianInit} {
 		ref := DefaultOptions(1)
 		ref.Init, ref.Parallelism, ref.Batch = init, 1, 1
-		want := synthesizeBatch(net, inShape, classes, ref, rand.New(rand.NewSource(5)))
+		serial := newGenRuntime(net, ref)
+		want := serial.synthesize(net, inShape, classes, ref, rand.New(rand.NewSource(5)))
+		serial.close()
 		for _, batch := range []int{0, 1} {
 			opts := ref
-			opts.Pool, opts.Parallelism, opts.Batch = pool, classes, batch
+			opts.Parallelism, opts.Batch = classes, batch
 			rt := newGenRuntime(net, opts)
 			counters := make([]*passCounter, classes)
 			rt.synth = make([]*nn.Network, classes)
@@ -360,16 +359,13 @@ func TestSynthesisBatchesOneClassChunks(t *testing.T) {
 				rt.synth[w], counters[w] = counted(net)
 			}
 			got := rt.synthesize(net, inShape, classes, opts, rand.New(rand.NewSource(5)))
+			rt.close()
 			for c := range want {
 				requireSameBits(t, fmt.Sprintf("init %d batch %d class %d", init, batch, c), got[c], want[c])
 			}
 			for w, pc := range counters {
-				perSample, batched := pc.forwards > 0, len(pc.dims) > 0
-				if batch == 1 && (!perSample || batched) {
-					t.Fatalf("init %d batch 1: worker %d ran %d per-sample passes and batch dims %v, want per-sample passes only", init, w, pc.forwards, pc.dims)
-				}
-				if batch == 0 && (perSample || !batched || slices.ContainsFunc(pc.dims, func(d int) bool { return d != 1 })) {
-					t.Fatalf("init %d batch 0: worker %d ran %d per-sample passes and batch dims %v, want batches of one only", init, w, pc.forwards, pc.dims)
+				if len(pc.dims) == 0 || slices.ContainsFunc(pc.dims, func(d int) bool { return d != 1 }) {
+					t.Fatalf("init %d batch %d: worker %d ran batch dims %v, want batches of one only", init, batch, w, pc.dims)
 				}
 			}
 		}

@@ -55,7 +55,7 @@ func parallelOpts(n, workers int) Options {
 
 // TestSuiteBatchBitIdentical is the batched-engine counterpart of the
 // worker-count tests: for every generator, the suite produced with
-// batched evaluation must equal the per-sample serial suite bit for bit
+// batched evaluation must equal the serial suite at batch 1 bit for bit
 // at B ∈ {1, 8, odd} and worker counts {1, 4}.
 func TestSuiteBatchBitIdentical(t *testing.T) {
 	net := trainedDigitsNet()
@@ -63,7 +63,7 @@ func TestSuiteBatchBitIdentical(t *testing.T) {
 	inShape := []int{1, 12, 12}
 
 	serialOpts := parallelOpts(10, 1)
-	serialOpts.Batch = 1 // per-sample reference path
+	serialOpts.Batch = 1 // batches of one: the reference
 
 	type gen struct {
 		name string
@@ -89,25 +89,6 @@ func TestSuiteBatchBitIdentical(t *testing.T) {
 				}
 				resultsBitIdentical(t, fmt.Sprintf("%s workers=%d batch=%d", g.name, workers, batch), got, serial)
 			}
-		}
-	}
-
-	// NeuronGreedy separately (extra config): its batched neuron-set
-	// extraction must also be bit-identical to the per-sample path.
-	ncfg := coverage.NeuronConfig{}
-	serial, err := NeuronGreedy(net, ds, ncfg, serialOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		for _, batch := range []int{5, 8, 32} {
-			opts := parallelOpts(10, workers)
-			opts.Batch = batch
-			got, err := NeuronGreedy(net, ds, ncfg, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resultsBitIdentical(t, fmt.Sprintf("NeuronGreedy workers=%d batch=%d", workers, batch), got, serial)
 		}
 	}
 }
@@ -184,21 +165,6 @@ func TestRandomSelectParallelBitIdentical(t *testing.T) {
 	resultsBitIdentical(t, "RandomSelect", par, serial)
 }
 
-func TestNeuronGreedyParallelBitIdentical(t *testing.T) {
-	net := trainedDigitsNet()
-	ds := digitsTrainSet()
-	ncfg := coverage.NeuronConfig{}
-	serial, err := NeuronGreedy(net, ds, ncfg, parallelOpts(12, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NeuronGreedy(net, ds, ncfg, parallelOpts(12, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsBitIdentical(t, "NeuronGreedy", par, serial)
-}
-
 // TestGreedyScannerMatchesSerialScan drives the lazy-greedy priority
 // queue to exhaustion over a tie-heavy candidate set: every pick must
 // match the serial left-to-right rescan, including resolving equal
@@ -228,8 +194,8 @@ func TestGreedyScannerMatchesSerialScan(t *testing.T) {
 	}
 }
 
-// TestGreedyScannerSkipsExternallyUsed covers the neuron-greedy shape:
-// candidates marked used outside the scanner must never be returned.
+// TestGreedyScannerSkipsExternallyUsed: candidates marked used outside
+// the scanner must never be returned.
 func TestGreedyScannerSkipsExternallyUsed(t *testing.T) {
 	net := trainedDigitsNet()
 	ds := data.Digits(20, 12, 12, 56)

@@ -9,49 +9,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestPoolGeneratorsBitIdentical: Options.Pool is purely a speed knob —
-// for every generator, the suite produced on a persistent pool with
-// pinned clones must equal the suite produced by the spawn-per-call
-// path at the same worker count, bit for bit.
-func TestPoolGeneratorsBitIdentical(t *testing.T) {
-	net := trainedDigitsNet()
-	train := digitsTrainSet()
-	const workers = 3
-
-	pool := parallel.NewPool(workers)
-	defer pool.Close()
-
-	gens := []struct {
-		name string
-		run  func(opts Options) (*Result, error)
-	}{
-		{"select", func(opts Options) (*Result, error) { return SelectFromTraining(net, train, opts) }},
-		{"gradient", func(opts Options) (*Result, error) {
-			return GradientGenerate(net, []int{train.C, train.H, train.W}, train.Classes, opts)
-		}},
-		{"combined", func(opts Options) (*Result, error) { return Combined(net, train, opts) }},
-		{"random", func(opts Options) (*Result, error) { return RandomSelect(net, train, opts) }},
-		{"neuron", func(opts Options) (*Result, error) {
-			return NeuronGreedy(net, train, coverage.NeuronConfig{}, opts)
-		}},
-	}
-	for _, g := range gens {
-		opts := parallelOpts(12, workers)
-		opts.Coverage = coverage.DefaultConfig(net)
-		want, err := g.run(opts)
-		if err != nil {
-			t.Fatalf("%s without pool: %v", g.name, err)
-		}
-		pooled := opts
-		pooled.Pool = pool
-		got, err := g.run(pooled)
-		if err != nil {
-			t.Fatalf("%s with pool: %v", g.name, err)
-		}
-		resultsBitIdentical(t, g.name+"/pool", got, want)
-	}
-}
-
 // TestPinnedExtractorMatchesParamSets: the pinned extractor must
 // reproduce ParamSetsParallel/ParamSetsOf exactly, including after a
 // Sync, at per-sample and batched settings.

@@ -14,58 +14,42 @@ import (
 )
 
 // genRuntime is the run-scoped execution state of one generator
-// invocation. Without Options.Pool it is a thin dispatcher onto the
-// spawn-per-call paths (coverage.ParamSets*, synthesizeBatch). With a
-// pool it holds the per-worker pinned clones — one set for activation
-// extraction on the full network (whose parameters never change during
-// a run, so they are cloned once and never re-synced) and one for
-// synthesis (whose target is a fresh residual network every round, so
-// the clones are re-synced in place instead of rebuilt) — amortising
-// clone construction across all the phases of the run.
+// invocation: a persistent worker pool of Options.Parallelism workers
+// and the per-worker pinned clones — one set for activation extraction
+// on the full network (whose parameters never change during a run, so
+// they are cloned once and never re-synced) and one for synthesis
+// (whose target is a fresh residual network every round, so the clones
+// are re-synced in place instead of rebuilt) — amortising clone
+// construction across all the phases of the run. The generator that
+// builds it closes it on return.
 type genRuntime struct {
 	opts  Options
 	net   *nn.Network               // the full network extraction runs on
+	pool  *parallel.Pool            // the run's workers
 	ext   *coverage.PinnedExtractor // lazy; only built when extraction happens
 	synth []*nn.Network             // lazy pinned synthesis clones
 }
 
 func newGenRuntime(net *nn.Network, opts Options) *genRuntime {
-	return &genRuntime{opts: opts, net: net}
+	return &genRuntime{opts: opts, net: net, pool: parallel.NewPool(opts.Parallelism)}
 }
 
-// workers is the fan-out width of this run: the pool's worker count
-// when pinned, Options.Parallelism otherwise.
-func (rt *genRuntime) workers() int {
-	if rt.opts.Pool != nil {
-		return rt.opts.Pool.Workers()
-	}
-	return rt.opts.workers()
-}
+// close stops the run's workers.
+func (rt *genRuntime) close() { rt.pool.Close() }
+
+// workers is the fan-out width of this run.
+func (rt *genRuntime) workers() int { return rt.pool.Workers() }
 
 func (rt *genRuntime) extractor() *coverage.PinnedExtractor {
 	if rt.ext == nil {
-		rt.ext = coverage.NewPinnedExtractor(rt.net, rt.opts.Pool, rt.opts.extractionBatch())
+		rt.ext = coverage.NewPinnedExtractor(rt.net, rt.pool, rt.opts.extractionBatch())
 	}
 	return rt.ext
 }
 
 // paramSets extracts every training sample's activation set.
 func (rt *genRuntime) paramSets(train *data.Dataset) []*bitset.Set {
-	if rt.opts.Pool != nil {
-		return rt.extractor().ParamSets(train, rt.opts.Coverage)
-	}
-	return coverage.ParamSetsParallel(rt.net, train, rt.opts.Coverage, rt.opts.workers(), rt.opts.extractionBatch())
-}
-
-// neuronSets extracts every training sample's neuron-activation set —
-// the precomputation of the neuron-greedy baseline. Like paramSets it
-// rides the pinned clones when a pool is set and the spawn-per-call
-// path otherwise.
-func (rt *genRuntime) neuronSets(train *data.Dataset, ncfg coverage.NeuronConfig) []*bitset.Set {
-	if rt.opts.Pool != nil {
-		return rt.extractor().NeuronSets(train, ncfg)
-	}
-	return coverage.NeuronSets(rt.net, train, ncfg, rt.opts.workers(), rt.opts.extractionBatch())
+	return rt.extractor().ParamSets(train, rt.opts.Coverage)
 }
 
 // paramSetsOf extracts each input's activation set on the full network.
@@ -75,12 +59,7 @@ func (rt *genRuntime) neuronSets(train *data.Dataset, ncfg coverage.NeuronConfig
 // the residual network leaves at its zero start is one.
 func (rt *genRuntime) paramSetsOf(xs []*tensor.Tensor) []*bitset.Set {
 	uniq, of := distinctInputs(xs)
-	var sets []*bitset.Set
-	if rt.opts.Pool != nil {
-		sets = rt.extractor().ParamSetsOf(uniq, rt.opts.Coverage)
-	} else {
-		sets = coverage.ParamSetsOf(rt.net, uniq, rt.opts.Coverage, rt.opts.workers(), rt.opts.extractionBatch())
-	}
+	sets := rt.extractor().ParamSetsOf(uniq, rt.opts.Coverage)
 	out := make([]*bitset.Set, len(xs))
 	given := make([]bool, len(uniq))
 	for i, u := range of {
@@ -129,31 +108,30 @@ func inputHash(x *tensor.Tensor) uint64 {
 }
 
 // synthesize runs one per-class synthesis round against target (a
-// residual network). opts is passed explicitly because rounds may vary
-// the Init mode (Gaussian restarts after a dry round) without touching
-// the runtime's own options.
+// residual network): one input per class c in [0,classes). opts is
+// passed explicitly because rounds may vary the Init mode (Gaussian
+// restarts after a dry round) without touching the runtime's own
+// options. The rng draws happen serially in class order — the
+// identical stream to synthesising class by class — before the
+// workers split the classes into contiguous chunks, each on its own
+// pinned clone of target; so the inputs are bit-identical at any
+// worker count and batch size.
 func (rt *genRuntime) synthesize(target *nn.Network, inShape []int, classes int, opts Options, rng *rand.Rand) []*tensor.Tensor {
-	pool := rt.opts.Pool
-	if pool == nil {
-		return synthesizeBatch(target, inShape, classes, opts, rng)
-	}
-	// The rng draws happen serially in class order — the identical
-	// stream to the serial per-class loop — before any fan-out.
 	xs := make([]*tensor.Tensor, classes)
 	for c := range xs {
 		xs[c] = synthInit(inShape, opts, rng)
 	}
-	if parallel.Effective(classes, pool.Workers()) <= 1 {
+	if parallel.Effective(classes, rt.pool.Workers()) <= 1 {
 		runSynth(target, xs, 0, classes, opts)
 		return xs
 	}
 	if rt.synth == nil {
-		rt.synth = make([]*nn.Network, pool.Workers())
-		pool.Each(func(w int) { rt.synth[w] = target.Clone() })
+		rt.synth = make([]*nn.Network, rt.pool.Workers())
+		rt.pool.Each(func(w int) { rt.synth[w] = target.Clone() })
 	} else {
-		pool.Each(func(w int) { rt.synth[w].SyncParamsFrom(target) })
+		rt.pool.Each(func(w int) { rt.synth[w].SyncParamsFrom(target) })
 	}
-	pool.For(classes, func(w, lo, hi int) {
+	rt.pool.For(classes, func(w, lo, hi int) {
 		runSynth(rt.synth[w], xs, lo, hi, opts)
 	})
 	return xs

@@ -56,29 +56,28 @@ func DefaultConfig(net *nn.Network) Config {
 // batching pays off by default: input synthesis, whose batched backward
 // is input-only (core's BenchmarkSynthesisBatched takes ~20% less time
 // than BenchmarkSynthesisPerSample on two workers), and which only ever
-// batches the ten classes of a round. This package's extractors
-// take an explicit batch argument and treat values below 2 as
-// per-sample — the right default for activation extraction, whose
-// per-sample ∇θ backward dominates its cost. Extraction is
-// bit-identical at any batch size, so batch knobs are purely about
-// speed.
+// batches the ten classes of a round. This package's extractors take an
+// explicit batch argument and treat values below 2 as one sample at a
+// time, each a batch of one — the right default for activation
+// extraction, whose per-sample ∇θ backward dominates its cost.
+// Extraction is bit-identical at any batch size, so batch knobs are
+// purely about speed.
 const DefaultBatch = 16
 
 // ParamActivation returns the set of parameters activated by x: bit i is
 // set when |∇θᵢ Σ_k F_k(x)| exceeds the configured threshold. The bitset
-// indexes parameters in the network's flat order.
+// indexes parameters in the network's flat order. It is the batched
+// extraction on a batch of one.
 func ParamActivation(net *nn.Network, x *tensor.Tensor, cfg Config) *bitset.Set {
-	net.ZeroGrad()
-	logits := net.Forward(x)
-	net.Backward(nn.OnesLike(logits))
-	return gradSet(net, cfg)
+	var out [1]*bitset.Set
+	paramSetsBatch(net, []*tensor.Tensor{x}, cfg, out[:])
+	return out[0]
 }
 
 // gradSet thresholds the gradients currently accumulated in net into an
-// activation bitset; the shared tail of the per-sample and batched
-// extractors. It walks the gradient slices directly — this runs once
-// per candidate, so the per-scalar callback of VisitGrads would be pure
-// overhead on the hot loop.
+// activation bitset. It walks the gradient slices directly — this runs
+// once per candidate, so the per-scalar callback of VisitGrads would be
+// pure overhead on the hot loop.
 func gradSet(net *nn.Network, cfg Config) *bitset.Set {
 	thresh := cfg.Epsilon
 	if cfg.Relative {
@@ -118,9 +117,9 @@ func ParamSets(net *nn.Network, ds *data.Dataset, cfg Config) []*bitset.Set {
 // batches of up to batch samples: one batched forward pass shares the
 // large per-layer GEMMs, then each sample's parameter gradients come out
 // of a per-sample backward against the batch caches. Every logits row
-// and every gradient is bit-identical to the per-sample path, so the
-// result is independent of both workers and batch (batch <= 1 forces the
-// per-sample path).
+// and every gradient is bit-identical at any batch size, so the result
+// is independent of both workers and batch (batch <= 1 extracts one
+// sample at a time).
 func ParamSetsParallel(net *nn.Network, ds *data.Dataset, cfg Config, workers, batch int) []*bitset.Set {
 	return paramSets(net, func(i int) *tensor.Tensor { return ds.Samples[i].X }, ds.Len(), cfg, workers, batch)
 }
@@ -134,14 +133,10 @@ func ParamSetsOf(net *nn.Network, xs []*tensor.Tensor, cfg Config, workers, batc
 // workerBatches fans [0,n) out across workers (per-worker clones of
 // net) and walks each worker's range in contiguous chunks of up to
 // batch samples, gathering the chunk's inputs and handing them to fn
-// together with the clone. batch <= 1 yields single-sample chunks — the
-// per-sample path. The chunking/fallback rules live here once so the
-// parameter- and neuron-set extractors cannot drift apart.
+// together with the clone. batch <= 1 yields batches of one.
 func workerBatches(net *nn.Network, input func(int) *tensor.Tensor, n, workers, batch int,
 	fn func(clone *nn.Network, xs []*tensor.Tensor, start int)) {
-	if batch < 1 {
-		batch = 1
-	}
+	batch = max(batch, 1)
 	workers = parallel.Effective(n, parallel.Workers(workers))
 	run := func(clone *nn.Network, lo, hi int) {
 		for start := lo; start < hi; start += batch {
@@ -155,12 +150,10 @@ func workerBatches(net *nn.Network, input func(int) *tensor.Tensor, n, workers, 
 	}
 	if workers <= 1 {
 		run(net, 0, n)
-		// The serial path ran batched passes on the caller's live
-		// network; drop the last batch's caches so they don't stay
-		// pinned after extraction. (Worker clones just become garbage.)
-		if batch > 1 {
-			net.ReleaseBatchState()
-		}
+		// The serial path ran on the caller's live network; drop the
+		// last batch's caches so they don't stay pinned after
+		// extraction. (Worker clones just become garbage.)
+		net.ReleaseBatchState()
 		return
 	}
 	clones := workerClones(net, workers)
@@ -172,19 +165,14 @@ func workerBatches(net *nn.Network, input func(int) *tensor.Tensor, n, workers, 
 func paramSets(net *nn.Network, input func(int) *tensor.Tensor, n int, cfg Config, workers, batch int) []*bitset.Set {
 	sets := make([]*bitset.Set, n)
 	workerBatches(net, input, n, workers, batch, func(clone *nn.Network, xs []*tensor.Tensor, start int) {
-		if len(xs) == 1 {
-			sets[start] = ParamActivation(clone, xs[0], cfg)
-			return
-		}
 		paramSetsBatch(clone, xs, cfg, sets[start:start+len(xs)])
 	})
 	return sets
 }
 
 // paramSetsBatch extracts the activation set of every input in one
-// batched forward pass: per-sample gradients come from BackwardSample
-// against the batch caches, which reproduces the per-sample backward
-// computation exactly.
+// batched forward pass: each sample's gradients come from
+// BackwardSample against the batch caches.
 func paramSetsBatch(net *nn.Network, xs []*tensor.Tensor, cfg Config, out []*bitset.Set) {
 	logits := net.ForwardBatch(tensor.Stack(xs))
 	// The ones seed can be shared across samples: no layer mutates the

@@ -283,7 +283,11 @@ func TestNeuronCoverageVsParamCoverage(t *testing.T) {
 	for _, s := range ds.Samples {
 		tests = append(tests, s.X)
 	}
-	nc := NeuronCoverage(net, tests, []int{1, 12, 12}, NeuronConfig{})
+	neurons := NewAccumulator(NumNeurons(net, []int{1, 12, 12}))
+	for _, x := range tests {
+		neurons.Add(NeuronActivation(net, x, NeuronConfig{}))
+	}
+	nc := neurons.Coverage()
 	pc := VC(net, tests, Config{})
 	if nc <= pc {
 		t.Fatalf("neuron coverage %.3f should exceed parameter coverage %.3f", nc, pc)

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/bitset"
-	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -22,10 +21,10 @@ type NeuronConfig struct {
 // NumNeurons returns the total number of neurons (elements of activation
 // layer outputs) the network has for the given input shape.
 func NumNeurons(net *nn.Network, inShape []int) int {
-	x := tensor.New(inShape...)
+	x := tensor.New(append([]int{1}, inShape...)...)
 	total := 0
 	for _, l := range net.LayerStack {
-		x = l.Forward(x)
+		x = l.ForwardBatch(x)
 		if _, ok := l.(*nn.Activate); ok {
 			total += x.Size()
 		}
@@ -34,111 +33,37 @@ func NumNeurons(net *nn.Network, inShape []int) int {
 }
 
 // NeuronActivation returns the set of neurons x fires, indexed across
-// all activation layers in network order.
+// all activation layers in network order; x runs as a batch of one.
 func NeuronActivation(net *nn.Network, x *tensor.Tensor, cfg NeuronConfig) *bitset.Set {
-	// First pass to size the set lazily would double the forward cost;
-	// collect outputs, then fill.
+	// Sizing the set first would take a second forward pass; collect
+	// the activation outputs, then fill.
 	type actOut struct {
-		out        *tensor.Tensor
+		vals       []float64
 		saturating bool
 	}
 	var outs []actOut
-	cur := x
-	for _, l := range net.LayerStack {
-		cur = l.Forward(cur)
-		if a, ok := l.(*nn.Activate); ok {
-			outs = append(outs, actOut{out: cur, saturating: a.Fn.Saturating()})
-		}
-	}
 	total := 0
-	for _, o := range outs {
-		total += o.out.Size()
+	cur := tensor.Stack([]*tensor.Tensor{x})
+	for _, l := range net.LayerStack {
+		cur = l.ForwardBatch(cur)
+		if a, ok := l.(*nn.Activate); ok {
+			outs = append(outs, actOut{vals: cur.Data(), saturating: a.Fn.Saturating()})
+			total += cur.Size()
+		}
 	}
 	set := bitset.New(total)
 	idx := 0
 	for _, o := range outs {
-		idx = fillFired(set, idx, o.out.Data(), o.saturating, cfg)
+		for _, v := range o.vals {
+			fired := v > cfg.Threshold
+			if o.saturating {
+				fired = math.Abs(v) > cfg.Threshold
+			}
+			if fired {
+				set.Set(idx)
+			}
+			idx++
+		}
 	}
 	return set
-}
-
-// fillFired sets one bit per activation value starting at idx and
-// returns the index after the last value; the single definition of the
-// firing criterion, shared by the per-sample and batched extractors so
-// they cannot drift apart.
-func fillFired(set *bitset.Set, idx int, vals []float64, saturating bool, cfg NeuronConfig) int {
-	for _, v := range vals {
-		fired := v > cfg.Threshold
-		if saturating {
-			fired = math.Abs(v) > cfg.Threshold
-		}
-		if fired {
-			set.Set(idx)
-		}
-		idx++
-	}
-	return idx
-}
-
-// NeuronSets computes the neuron-activation set of every sample in ds,
-// fanning out across workers with per-worker network clones and batching
-// within each worker (neuron coverage needs only forward activations, so
-// the whole extraction rides the batched forward pass); the
-// precomputation step of the neuron-greedy baseline. Results are
-// identical to the serial per-sample loop at any worker count and batch
-// size (batch <= 1 forces the per-sample path).
-func NeuronSets(net *nn.Network, ds *data.Dataset, cfg NeuronConfig, workers, batch int) []*bitset.Set {
-	sets := make([]*bitset.Set, ds.Len())
-	input := func(i int) *tensor.Tensor { return ds.Samples[i].X }
-	workerBatches(net, input, ds.Len(), workers, batch, func(clone *nn.Network, xs []*tensor.Tensor, start int) {
-		if len(xs) == 1 {
-			sets[start] = NeuronActivation(clone, xs[0], cfg)
-			return
-		}
-		neuronSetsBatch(clone, xs, cfg, sets[start:start+len(xs)])
-	})
-	return sets
-}
-
-// neuronSetsBatch fills out with each input's fired-neuron set from one
-// batched forward pass. Batched activations are bit-identical to
-// per-sample ones and each sample's bits are filled in the same layer
-// and element order as NeuronActivation, so the sets are identical to
-// the per-sample path.
-func neuronSetsBatch(net *nn.Network, xs []*tensor.Tensor, cfg NeuronConfig, out []*bitset.Set) {
-	type actOut struct {
-		out        *tensor.Tensor
-		saturating bool
-	}
-	var outs []actOut
-	cur := tensor.Stack(xs)
-	for _, l := range net.LayerStack {
-		cur = l.(nn.BatchLayer).ForwardBatch(cur)
-		if a, ok := l.(*nn.Activate); ok {
-			outs = append(outs, actOut{out: cur, saturating: a.Fn.Saturating()})
-		}
-	}
-	total := 0
-	for _, o := range outs {
-		total += o.out.Size() / len(xs)
-	}
-	for b := range xs {
-		set := bitset.New(total)
-		idx := 0
-		for _, o := range outs {
-			idx = fillFired(set, idx, o.out.Sample(b).Data(), o.saturating, cfg)
-		}
-		out[b] = set
-	}
-}
-
-// NeuronCoverage returns the fraction of neurons fired by at least one
-// of the test inputs.
-func NeuronCoverage(net *nn.Network, tests []*tensor.Tensor, inShape []int, cfg NeuronConfig) float64 {
-	n := NumNeurons(net, inShape)
-	acc := NewAccumulator(n)
-	for _, x := range tests {
-		acc.Add(NeuronActivation(net, x, cfg))
-	}
-	return acc.Coverage()
 }

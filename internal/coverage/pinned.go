@@ -31,7 +31,7 @@ type PinnedExtractor struct {
 
 // NewPinnedExtractor pins one clone of net to every worker of pool.
 // batch is the per-worker evaluation batch size (values < 1 mean
-// per-sample, like the batch argument of ParamSetsParallel).
+// batches of one, like the batch argument of ParamSetsParallel).
 func NewPinnedExtractor(net *nn.Network, pool *parallel.Pool, batch int) *PinnedExtractor {
 	if batch < 1 {
 		batch = 1
@@ -65,36 +65,15 @@ func (e *PinnedExtractor) ParamSetsOf(xs []*tensor.Tensor, cfg Config) []*bitset
 
 func (e *PinnedExtractor) paramSets(input func(int) *tensor.Tensor, n int, cfg Config) []*bitset.Set {
 	sets := make([]*bitset.Set, n)
-	e.chunks(func(i int) *tensor.Tensor { return input(i) }, n, func(clone *nn.Network, xs []*tensor.Tensor, start int) {
-		if len(xs) == 1 {
-			sets[start] = ParamActivation(clone, xs[0], cfg)
-			return
-		}
+	e.chunks(input, n, func(clone *nn.Network, xs []*tensor.Tensor, start int) {
 		paramSetsBatch(clone, xs, cfg, sets[start:start+len(xs)])
-	})
-	return sets
-}
-
-// NeuronSets computes the neuron-activation set of every sample in ds
-// on the pinned clones; bit-identical to the spawn-per-call NeuronSets
-// at the pool's worker count (each sample's set depends only on
-// parameters and input, so the partitioning cannot matter).
-func (e *PinnedExtractor) NeuronSets(ds *data.Dataset, cfg NeuronConfig) []*bitset.Set {
-	sets := make([]*bitset.Set, ds.Len())
-	e.chunks(func(i int) *tensor.Tensor { return ds.Samples[i].X }, ds.Len(), func(clone *nn.Network, xs []*tensor.Tensor, start int) {
-		if len(xs) == 1 {
-			sets[start] = NeuronActivation(clone, xs[0], cfg)
-			return
-		}
-		neuronSetsBatch(clone, xs, cfg, sets[start:start+len(xs)])
 	})
 	return sets
 }
 
 // chunks fans [0,n) out over the pool's pinned clones and walks each
 // worker's range in contiguous chunks of up to the extractor's batch —
-// the pinned counterpart of workerBatches, shared by the parameter- and
-// neuron-set extractors so their chunking cannot drift apart.
+// the pinned counterpart of workerBatches.
 func (e *PinnedExtractor) chunks(input func(int) *tensor.Tensor, n int,
 	fn func(clone *nn.Network, xs []*tensor.Tensor, start int)) {
 	e.pool.For(n, func(w, lo, hi int) {

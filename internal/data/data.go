@@ -51,15 +51,6 @@ func (d *Dataset) Shuffle(rng *rand.Rand) {
 	})
 }
 
-// ClassCounts returns a histogram of labels.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.Classes)
-	for _, s := range d.Samples {
-		counts[s.Label]++
-	}
-	return counts
-}
-
 // Subset returns a view of the first n samples.
 func (d *Dataset) Subset(n int) *Dataset {
 	if n > len(d.Samples) {

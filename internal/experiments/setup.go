@@ -42,7 +42,7 @@ type Params struct {
 	// whole-machine generation, which is bit-identical to serial.
 	Parallelism int
 	// Batch, when positive, sets the evaluation batch size of suite
-	// generation (1 forces the per-sample path). Zero keeps the default
+	// generation (1 evaluates one input at a time). Zero keeps the default
 	// batch. Generation is bit-identical at any value.
 	Batch int
 }

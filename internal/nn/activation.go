@@ -54,19 +54,43 @@ func NewScaleShift(name string, a, b float64) *ScaleShift {
 }
 
 // Forward implements Layer.
-func (s *ScaleShift) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	out.Scale(s.A)
-	out.Apply(func(v float64) float64 { return v + s.B })
+func (s *ScaleShift) Forward(x *tensor.Tensor) *tensor.Tensor { return forwardOne(s, x) }
+
+// ForwardBatch implements Layer; the affine map is elementwise and
+// stateless.
+func (s *ScaleShift) ForwardBatch(x *tensor.Tensor) *tensor.Tensor { return scaleShift(x, s.A, s.B) }
+
+// scaleShift is the ScaleShift forward pass of both precisions:
+// a·v + b for every element v of x, rounding the product before the
+// add.
+func scaleShift[E tensor.Num](x *tensor.Dense[E], a, b E) *tensor.Dense[E] {
+	out := tensor.NewOf[E](x.Shape()...)
+	od := out.Data()
+	for i, v := range x.Data() {
+		od[i] = E(v*a) + b
+	}
 	return out
 }
 
-// Backward implements Layer.
-func (s *ScaleShift) Backward(dOut *tensor.Tensor) *tensor.Tensor {
+// BackwardBatch implements Layer.
+func (s *ScaleShift) BackwardBatch(dOut *tensor.Tensor) *tensor.Tensor {
 	dx := dOut.Clone()
 	dx.Scale(s.A)
 	return dx
 }
+
+// BackwardBatchInput implements Layer.
+func (s *ScaleShift) BackwardBatchInput(dOut *tensor.Tensor) *tensor.Tensor {
+	return s.BackwardBatch(dOut)
+}
+
+// BackwardSample implements Layer.
+func (s *ScaleShift) BackwardSample(_ int, dOut *tensor.Tensor) *tensor.Tensor {
+	return s.BackwardBatch(dOut)
+}
+
+// ReleaseBatchState implements Layer (ScaleShift keeps no state).
+func (s *ScaleShift) ReleaseBatchState() {}
 
 // Params implements Layer.
 func (s *ScaleShift) Params() []*Param { return nil }
@@ -84,9 +108,7 @@ type Activate struct {
 	LayerName string
 	Fn        Activation
 
-	in, out *tensor.Tensor // cached for the backward pass
-
-	inB, outB *tensor.Tensor // cached batch state of the last ForwardBatch
+	inB, outB *tensor.Tensor // input and output of the last forward pass
 }
 
 // NewActivate constructs an activation layer.
@@ -95,48 +117,73 @@ func NewActivate(name string, fn Activation) *Activate {
 }
 
 // Forward implements Layer.
-func (a *Activate) Forward(x *tensor.Tensor) *tensor.Tensor {
-	a.in = x
-	a.out = a.activate(x)
-	return a.out
+func (a *Activate) Forward(x *tensor.Tensor) *tensor.Tensor { return forwardOne(a, x) }
+
+// ForwardBatch implements Layer; the activation is elementwise, so a
+// batch is one longer slice.
+func (a *Activate) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
+	a.inB = x
+	a.outB = activate(a.Fn, x)
+	return a.outB
 }
 
-// activate returns Fn applied elementwise to x as a new tensor; the
-// shared kernel of the per-sample and batched forward passes (the ops
-// are per-element, so batching cannot change any value).
-func (a *Activate) activate(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	switch a.Fn {
+// activate is the activation forward pass of both precisions: fn
+// applied elementwise to x as a new tensor. The transcendental
+// functions run in float64 and round once to E.
+func activate[E tensor.Num](fn Activation, x *tensor.Dense[E]) *tensor.Dense[E] {
+	out := tensor.NewOf[E](x.Shape()...)
+	od, xd := out.Data(), x.Data()
+	switch fn {
 	case ReLU:
-		out.Apply(func(v float64) float64 {
+		for i, v := range xd {
 			if v > 0 {
-				return v
+				od[i] = v
 			}
-			return 0
-		})
+		}
 	case Tanh:
-		out.Apply(math.Tanh)
+		for i, v := range xd {
+			od[i] = E(math.Tanh(float64(v)))
+		}
 	case Sigmoid:
-		out.Apply(func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
+		for i, v := range xd {
+			od[i] = E(1 / (1 + math.Exp(-float64(v))))
+		}
 	case LeakyReLU:
-		out.Apply(func(v float64) float64 {
+		for i, v := range xd {
 			if v > 0 {
-				return v
+				od[i] = v
+			} else {
+				od[i] = leakySlope * v
 			}
-			return leakySlope * v
-		})
+		}
+	default:
+		copy(od, xd)
 	}
 	return out
 }
 
-// Backward implements Layer.
-func (a *Activate) Backward(dOut *tensor.Tensor) *tensor.Tensor {
-	return a.backwardWith(dOut, a.in.Data(), a.out.Data())
+// BackwardBatch implements Layer.
+func (a *Activate) BackwardBatch(dOut *tensor.Tensor) *tensor.Tensor {
+	return a.backwardWith(dOut, a.inB.Data(), a.outB.Data())
 }
 
-// backwardWith is the elementwise backward kernel against explicit
-// cached forward slices, shared by the per-sample, batched and
-// per-sample-of-batch paths.
+// BackwardBatchInput implements Layer (activations have no
+// parameters).
+func (a *Activate) BackwardBatchInput(dOut *tensor.Tensor) *tensor.Tensor {
+	return a.BackwardBatch(dOut)
+}
+
+// BackwardSample implements Layer.
+func (a *Activate) BackwardSample(b int, dOut *tensor.Tensor) *tensor.Tensor {
+	n := dOut.Size()
+	return a.backwardWith(dOut, a.inB.Data()[b*n:(b+1)*n], a.outB.Data()[b*n:(b+1)*n])
+}
+
+// ReleaseBatchState implements Layer.
+func (a *Activate) ReleaseBatchState() { a.inB, a.outB = nil, nil }
+
+// backwardWith is the elementwise backward kernel against the cached
+// forward slices of a batch or of one of its samples.
 func (a *Activate) backwardWith(dOut *tensor.Tensor, in, out []float64) *tensor.Tensor {
 	dx := dOut.Clone()
 	dd := dx.Data()

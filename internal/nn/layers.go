@@ -18,8 +18,7 @@ type Conv2D struct {
 	Weight, Bias    *Param
 	geom            tensor.ConvGeom
 
-	x      *tensor.Tensor // cached input of the last Forward
-	xBatch *tensor.Tensor // cached [B,C,H,W] input of the last ForwardBatch
+	xBatch *tensor.Tensor // cached [B,C,H,W] input of the last forward pass
 }
 
 // NewConv2D constructs a convolution for a fixed input geometry.
@@ -58,24 +57,58 @@ func (c *Conv2D) OutShape() []int { return []int{c.OutC, c.geom.OutH, c.geom.Out
 func (c *Conv2D) Geom() tensor.ConvGeom { return c.geom }
 
 // Forward implements Layer.
-func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if x.Rank() != 3 || x.Dim(0) != c.InC || x.Dim(1) != c.InH || x.Dim(2) != c.InW {
-		panic(fmt.Sprintf("nn: %s expects input [%d %d %d], got %v", c.LayerName, c.InC, c.InH, c.InW, x.Shape()))
+func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor { return forwardOne(c, x) }
+
+// ForwardBatch implements Layer: one direct-convolution kernel call
+// over the whole batch, which writes each sample's [OutC, OH, OW] slab
+// of the output with the bias added in its epilogue; every output
+// element gets the sequence it gets in a batch of one. The layer caches
+// x for the backward passes.
+func (c *Conv2D) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
+	c.xBatch = x
+	return convForward(c.LayerName, c.geom, c.OutC, x, c.Weight.W, c.Bias.W)
+}
+
+// convForward is the convolution forward pass of both precisions.
+func convForward[E tensor.Num](name string, g tensor.ConvGeom, outC int, x, w, bias *tensor.Dense[E]) *tensor.Dense[E] {
+	if x.Rank() != 4 || x.Dim(1) != g.C || x.Dim(2) != g.H || x.Dim(3) != g.W {
+		panic(fmt.Sprintf("nn: %s expects batch input [B %d %d %d], got %v", name, g.C, g.H, g.W, x.Shape()))
 	}
-	c.x = x
-	out := tensor.New(c.OutC, c.geom.OutH, c.geom.OutW)
-	tensor.ConvForward(out, x, c.Weight.W, c.Bias.W, c.geom)
+	out := tensor.NewOf[E](x.Dim(0), outC, g.OutH, g.OutW)
+	tensor.ConvForward(out, x, w, bias, g)
 	return out
 }
 
-// Backward implements Layer.
-func (c *Conv2D) Backward(dOut *tensor.Tensor) *tensor.Tensor { return c.backwardWith(dOut, c.x) }
+// ReleaseBatchState implements Layer.
+func (c *Conv2D) ReleaseBatchState() { c.xBatch = nil }
 
-// backwardWith is the per-sample backward against an explicit cached
-// input, shared by Backward and BackwardSample.
-func (c *Conv2D) backwardWith(dOut, x *tensor.Tensor) *tensor.Tensor {
-	c.paramGrads(dOut, x)
+// BackwardSample implements Layer: the parameter gradients of sample b
+// against its cached input, then its input gradient.
+func (c *Conv2D) BackwardSample(b int, dOut *tensor.Tensor) *tensor.Tensor {
+	c.paramGrads(dOut, c.xBatch.Sample(b))
 	dx := tensor.New(c.InC, c.InH, c.InW)
+	tensor.ConvInputGrad(dx, dOut, c.Weight.W, c.geom)
+	return dx
+}
+
+// BackwardBatch implements Layer. Convolution weight gradients must
+// accumulate per sample to stay bit-identical to a batch of one (the
+// per-sample partial sums associate differently from one long
+// reduction), so parameter gradients walk the samples in ascending
+// order; the input gradient is one kernel call over the batch.
+func (c *Conv2D) BackwardBatch(dOut *tensor.Tensor) *tensor.Tensor {
+	b := batchDim(dOut, c.LayerName)
+	for s := 0; s < b; s++ {
+		c.paramGrads(dOut.Sample(s), c.xBatch.Sample(s))
+	}
+	return c.BackwardBatchInput(dOut)
+}
+
+// BackwardBatchInput implements Layer: the dX chain only, skipping the
+// weight and bias gradients. Each sample's gradient is written straight
+// into its slab of the [B, C, H, W] result.
+func (c *Conv2D) BackwardBatchInput(dOut *tensor.Tensor) *tensor.Tensor {
+	dx := tensor.New(batchDim(dOut, c.LayerName), c.InC, c.InH, c.InW)
 	tensor.ConvInputGrad(dx, dOut, c.Weight.W, c.geom)
 	return dx
 }
@@ -103,8 +136,7 @@ type Dense struct {
 	In, Out      int
 	Weight, Bias *Param
 
-	x      *tensor.Tensor // cached input
-	xBatch *tensor.Tensor // cached [B,In] input of the last ForwardBatch
+	xBatch *tensor.Tensor // cached [B,In] input of the last forward pass
 }
 
 // NewDense constructs a fully connected layer.
@@ -129,27 +161,75 @@ func (d *Dense) InitGlorot(rng *rand.Rand) {
 }
 
 // Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if x.Size() != d.In {
-		panic(fmt.Sprintf("nn: %s expects %d inputs, got %v", d.LayerName, d.In, x.Shape()))
+func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor { return forwardOne(d, x) }
+
+// ForwardBatch implements Layer: one [B,In]×[Out,In]ᵀ GEMM whose every
+// output row is one dot product per output unit, the sequence a batch
+// of one runs, plus the bias.
+func (d *Dense) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
+	d.xBatch = denseRows(d.LayerName, d.In, x)
+	return denseForward(d.xBatch, d.Weight.W, d.Bias.W)
+}
+
+// denseRows returns the batch x as its [B, in] matrix of rows.
+func denseRows[E tensor.Num](name string, in int, x *tensor.Dense[E]) *tensor.Dense[E] {
+	b := batchDim(x, name)
+	if x.Size() != b*in {
+		panic(fmt.Sprintf("nn: %s expects %d inputs per sample, got %v", name, in, x.Shape()))
 	}
-	d.x = x.Reshape(d.In)
-	out := tensor.MatVec(d.Weight.W, d.x)
-	out.AddInPlace(d.Bias.W)
+	return x.Reshape(b, in)
+}
+
+// denseForward is the dense forward pass of both precisions: the
+// [B, Out] product of the [B, In] rows x with the weights, each row
+// plus the bias.
+func denseForward[E tensor.Num](x, w, bias *tensor.Dense[E]) *tensor.Dense[E] {
+	out := tensor.MatMulTB(x, w)
+	od, bd := out.Data(), bias.Data()
+	for s := 0; s < x.Dim(0); s++ {
+		row := od[s*len(bd) : (s+1)*len(bd)]
+		for o, bv := range bd {
+			row[o] += bv
+		}
+	}
 	return out
 }
 
-// Backward implements Layer.
-func (d *Dense) Backward(dOut *tensor.Tensor) *tensor.Tensor {
+// BackwardBatch implements Layer. dW = dOutᵀ·X accumulates every
+// weight cell's per-sample terms in ascending sample order with the
+// per-sample zero-skip (the MatMulTA kernel), dX = dOut·W computes every
+// sample's input-gradient row with the per-sample kernel sequence, and
+// the bias gradient walks samples in order — all bit-identical to
+// BackwardSample over the samples in order.
+func (d *Dense) BackwardBatch(dOut *tensor.Tensor) *tensor.Tensor {
+	b := batchDim(dOut, d.LayerName)
+	if dOut.Size() != b*d.Out {
+		panic(fmt.Sprintf("nn: %s backward expects %d grads per sample, got %v", d.LayerName, d.Out, dOut.Shape()))
+	}
+	d2 := dOut.Reshape(b, d.Out)
+	tensor.MatMulTAInto(d.Weight.Grad, d2, d.xBatch, true)
+	do, bg := d2.Data(), d.Bias.Grad.Data()
+	for s := 0; s < b; s++ {
+		for o := 0; o < d.Out; o++ {
+			bg[o] += do[s*d.Out+o]
+		}
+	}
+	return tensor.MatMul(d2, d.Weight.W) // [B, In]
+}
+
+// BackwardBatchInput implements Layer: dX = dOut·W only.
+func (d *Dense) BackwardBatchInput(dOut *tensor.Tensor) *tensor.Tensor {
+	b := batchDim(dOut, d.LayerName)
+	return tensor.MatMul(dOut.Reshape(b, d.Out), d.Weight.W)
+}
+
+// BackwardSample implements Layer: sample b's weight and bias
+// gradients against its cached input row, then its input gradient.
+func (d *Dense) BackwardSample(b int, dOut *tensor.Tensor) *tensor.Tensor {
 	if dOut.Size() != d.Out {
 		panic(fmt.Sprintf("nn: %s backward expects %d grads, got %v", d.LayerName, d.Out, dOut.Shape()))
 	}
-	return d.backwardWith(dOut, d.x.Data())
-}
-
-// backwardWith is the per-sample backward against an explicit cached
-// input slice, shared by Backward and BackwardSample.
-func (d *Dense) backwardWith(dOut *tensor.Tensor, xd []float64) *tensor.Tensor {
+	xd := d.xBatch.Data()[b*d.In : (b+1)*d.In]
 	do := dOut.Data()
 	wg := d.Weight.Grad.Data()
 	for o := 0; o < d.Out; o++ {
@@ -178,6 +258,9 @@ func (d *Dense) backwardWith(dOut *tensor.Tensor, xd []float64) *tensor.Tensor {
 	return dx
 }
 
+// ReleaseBatchState implements Layer.
+func (d *Dense) ReleaseBatchState() { d.xBatch = nil }
+
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.Weight, d.Bias} }
 
@@ -188,23 +271,45 @@ func (d *Dense) Name() string { return d.LayerName }
 // heads.
 type Flatten struct {
 	LayerName string
-	inShape   []int
-	inShapeB  []int // input shape of the last ForwardBatch (incl. batch dim)
+	inShapeB  []int // input shape of the last forward pass (incl. batch dim)
 }
 
 // NewFlatten constructs a flatten layer.
 func NewFlatten(name string) *Flatten { return &Flatten{LayerName: name} }
 
 // Forward implements Layer.
-func (f *Flatten) Forward(x *tensor.Tensor) *tensor.Tensor {
-	f.inShape = append(f.inShape[:0], x.Shape()...)
-	return x.Reshape(x.Size())
+func (f *Flatten) Forward(x *tensor.Tensor) *tensor.Tensor { return forwardOne(f, x) }
+
+// ForwardBatch implements Layer: [B, d1, d2, ...] becomes
+// [B, d1*d2*...], a reshape of shared data.
+func (f *Flatten) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
+	f.inShapeB = append(f.inShapeB[:0], x.Shape()...)
+	return flatten(f.LayerName, x)
 }
 
-// Backward implements Layer.
-func (f *Flatten) Backward(dOut *tensor.Tensor) *tensor.Tensor {
-	return dOut.Reshape(f.inShape...)
+// flatten is the flatten forward pass of both precisions.
+func flatten[E tensor.Num](name string, x *tensor.Dense[E]) *tensor.Dense[E] {
+	b := batchDim(x, name)
+	return x.Reshape(b, x.Size()/b)
 }
+
+// BackwardBatch implements Layer.
+func (f *Flatten) BackwardBatch(dOut *tensor.Tensor) *tensor.Tensor {
+	return dOut.Reshape(f.inShapeB...)
+}
+
+// BackwardBatchInput implements Layer.
+func (f *Flatten) BackwardBatchInput(dOut *tensor.Tensor) *tensor.Tensor {
+	return f.BackwardBatch(dOut)
+}
+
+// BackwardSample implements Layer.
+func (f *Flatten) BackwardSample(_ int, dOut *tensor.Tensor) *tensor.Tensor {
+	return dOut.Reshape(f.inShapeB[1:]...)
+}
+
+// ReleaseBatchState implements Layer.
+func (f *Flatten) ReleaseBatchState() { f.inShapeB = nil }
 
 // Params implements Layer.
 func (f *Flatten) Params() []*Param { return nil }

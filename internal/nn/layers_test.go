@@ -111,7 +111,7 @@ func TestMaxPoolBackwardRouting(t *testing.T) {
 	x := tensor.FromSlice([]float64{1, 9, 3, 4}, 1, 2, 2)
 	p.Forward(x)
 	d := tensor.FromSlice([]float64{5}, 1, 1, 1)
-	dx := p.Backward(d)
+	dx := p.BackwardSample(0, d)
 	want := []float64{0, 5, 0, 0}
 	for i, w := range want {
 		if dx.Data()[i] != w {
@@ -176,7 +176,7 @@ func TestFlattenRoundTrip(t *testing.T) {
 		t.Fatalf("flatten out %v", out.Shape())
 	}
 	d := tensor.New(24)
-	dx := f.Backward(d)
+	dx := f.BackwardSample(0, d)
 	if dx.Rank() != 3 || dx.Dim(0) != 2 || dx.Dim(1) != 3 || dx.Dim(2) != 4 {
 		t.Fatalf("flatten backward shape %v", dx.Shape())
 	}

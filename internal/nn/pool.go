@@ -8,16 +8,14 @@ import (
 
 // MaxPool2D is a max pooling layer over a [C,H,W] input with a square
 // window. The backward pass routes each output gradient to the input
-// position that won the max, as cached during Forward.
+// position that won the max, as cached during the forward pass.
 type MaxPool2D struct {
 	LayerName string
 	C, H, W   int
 	K, Stride int
 	geom      tensor.ConvGeom
-	argmax    []int // flat input index chosen for each output cell
 
-	argmaxB []int // per-sample winner indexes of the last ForwardBatch
-	batchB  int   // batch size of the last ForwardBatch
+	argmaxB []int // per-sample winner indexes of the last forward pass
 }
 
 // NewMaxPool2D constructs a max pooling layer for a fixed input geometry.
@@ -33,62 +31,94 @@ func (m *MaxPool2D) OutShape() []int { return []int{m.C, m.geom.OutH, m.geom.Out
 func (m *MaxPool2D) Geom() tensor.ConvGeom { return m.geom }
 
 // Forward implements Layer.
-func (m *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if x.Rank() != 3 || x.Dim(0) != m.C || x.Dim(1) != m.H || x.Dim(2) != m.W {
-		panic(fmt.Sprintf("nn: %s expects input [%d %d %d], got %v", m.LayerName, m.C, m.H, m.W, x.Shape()))
+func (m *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor { return forwardOne(m, x) }
+
+// ForwardBatch implements Layer: the window scan runs per sample
+// (pooling has no useful batched matrix form), caching each sample's
+// winner indexes for the backward passes.
+func (m *MaxPool2D) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
+	n := batchDim(x, m.LayerName) * m.C * m.geom.OutH * m.geom.OutW
+	if cap(m.argmaxB) < n {
+		m.argmaxB = make([]int, n)
 	}
-	oh, ow := m.geom.OutH, m.geom.OutW
-	out := tensor.New(m.C, oh, ow)
-	if cap(m.argmax) < m.C*oh*ow {
-		m.argmax = make([]int, m.C*oh*ow)
-	}
-	m.argmax = m.argmax[:m.C*oh*ow]
-	m.poolSample(x.Data(), out.Data(), m.argmax)
-	return out
+	m.argmaxB = m.argmaxB[:n]
+	return maxPool(m.LayerName, m.geom, x, m.argmaxB)
 }
 
-// poolSample runs the max-pooling window scan over one sample's data,
-// writing outputs and winner indexes (relative to the sample); the shared
-// kernel of the per-sample and batched forward passes.
-func (m *MaxPool2D) poolSample(xd, od []float64, argmax []int) {
-	oh, ow := m.geom.OutH, m.geom.OutW
+// maxPool is the max-pooling forward pass of both precisions: the
+// window scan over every sample of the [B, C, H, W] batch x. It writes
+// each output cell's winning input index, relative to its sample, to
+// argmax unless argmax is nil.
+func maxPool[E tensor.Num](name string, g tensor.ConvGeom, x *tensor.Dense[E], argmax []int) *tensor.Dense[E] {
+	if x.Rank() != 4 || x.Dim(1) != g.C || x.Dim(2) != g.H || x.Dim(3) != g.W {
+		panic(fmt.Sprintf("nn: %s expects batch input [B %d %d %d], got %v", name, g.C, g.H, g.W, x.Shape()))
+	}
+	out := tensor.NewOf[E](x.Dim(0), g.C, g.OutH, g.OutW)
+	xd, od := x.Data(), out.Data()
 	oi2 := 0
-	for c := 0; c < m.C; c++ {
-		chanBase := c * m.H * m.W
-		for oi := 0; oi < oh; oi++ {
-			for oj := 0; oj < ow; oj++ {
-				best, bi := -1.0, -1
-				first := true
-				for ki := 0; ki < m.K; ki++ {
-					ii := oi*m.Stride + ki
-					rowBase := chanBase + ii*m.W
-					for kj := 0; kj < m.K; kj++ {
-						jj := oj*m.Stride + kj
-						v := xd[rowBase+jj]
-						if first || v > best {
-							best, bi = v, rowBase+jj
-							first = false
+	for s := 0; s < x.Dim(0); s++ {
+		sample := xd[s*g.C*g.H*g.W : (s+1)*g.C*g.H*g.W]
+		for c := 0; c < g.C; c++ {
+			chanBase := c * g.H * g.W
+			for oi := 0; oi < g.OutH; oi++ {
+				for oj := 0; oj < g.OutW; oj++ {
+					var best E
+					bi := -1
+					for ki := 0; ki < g.KH; ki++ {
+						rowBase := chanBase + (oi*g.Stride+ki)*g.W
+						for kj := 0; kj < g.KW; kj++ {
+							j := rowBase + oj*g.Stride + kj
+							if v := sample[j]; bi < 0 || v > best {
+								best, bi = v, j
+							}
 						}
 					}
+					od[oi2] = best
+					if argmax != nil {
+						argmax[oi2] = bi
+					}
+					oi2++
 				}
-				od[oi2] = best
-				argmax[oi2] = bi
-				oi2++
 			}
 		}
 	}
+	return out
 }
 
-// Backward implements Layer.
-func (m *MaxPool2D) Backward(dOut *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(m.C, m.H, m.W)
-	dd := dOut.Data()
-	if len(dd) != len(m.argmax) {
-		panic(fmt.Sprintf("nn: %s backward size %d, want %d", m.LayerName, len(dd), len(m.argmax)))
+// BackwardBatch implements Layer.
+func (m *MaxPool2D) BackwardBatch(dOut *tensor.Tensor) *tensor.Tensor {
+	b := batchDim(dOut, m.LayerName)
+	outSz := m.C * m.geom.OutH * m.geom.OutW
+	inSz := m.C * m.H * m.W
+	if dOut.Size() != b*outSz {
+		panic(fmt.Sprintf("nn: %s batch backward size %d, want %d", m.LayerName, dOut.Size(), b*outSz))
 	}
-	scatterPool(dx.Data(), dd, m.argmax)
+	dx := tensor.New(b, m.C, m.H, m.W)
+	dd, dxd := dOut.Data(), dx.Data()
+	for s := 0; s < b; s++ {
+		scatterPool(dxd[s*inSz:(s+1)*inSz], dd[s*outSz:(s+1)*outSz], m.argmaxB[s*outSz:(s+1)*outSz])
+	}
 	return dx
 }
+
+// BackwardBatchInput implements Layer (pooling has no parameters).
+func (m *MaxPool2D) BackwardBatchInput(dOut *tensor.Tensor) *tensor.Tensor {
+	return m.BackwardBatch(dOut)
+}
+
+// BackwardSample implements Layer.
+func (m *MaxPool2D) BackwardSample(b int, dOut *tensor.Tensor) *tensor.Tensor {
+	outSz := m.C * m.geom.OutH * m.geom.OutW
+	if dOut.Size() != outSz {
+		panic(fmt.Sprintf("nn: %s backward size %d, want %d", m.LayerName, dOut.Size(), outSz))
+	}
+	dx := tensor.New(m.C, m.H, m.W)
+	scatterPool(dx.Data(), dOut.Data(), m.argmaxB[b*outSz:(b+1)*outSz])
+	return dx
+}
+
+// ReleaseBatchState implements Layer.
+func (m *MaxPool2D) ReleaseBatchState() { m.argmaxB = nil }
 
 // scatterPool routes each output gradient back to the input cell that won
 // its window.

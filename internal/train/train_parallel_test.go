@@ -18,34 +18,46 @@ func parallelTestbed(t *testing.T) (*nn.Network, *data.Dataset) {
 }
 
 func fitOnce(t *testing.T, parallelism int) *nn.Network {
-	return fitOnceCfg(t, parallelism, false)
+	return fitOnceWith(t, parallelism, gradChunk)
 }
 
-func fitOnceCfg(t *testing.T, parallelism int, perSample bool) *nn.Network {
+func fitOnceWith(t *testing.T, parallelism int, chunk func(*nn.Network, *data.Dataset, []int) []float64) *nn.Network {
 	t.Helper()
 	net, ds := parallelTestbed(t)
-	_, err := Fit(net, ds, Config{
+	_, err := fit(net, ds, Config{
 		Epochs:      2,
 		BatchSize:   16,
 		Optimizer:   NewAdam(0.002),
 		Seed:        5,
 		Parallelism: parallelism,
-		PerSample:   perSample,
-	})
+	}, chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return net
 }
 
+// perSampleChunk is gradChunk's reference: the sample-at-a-time loop,
+// one forward and one backward pass per sample, in order.
+func perSampleChunk(net *nn.Network, ds *data.Dataset, idxs []int) []float64 {
+	losses := make([]float64, len(idxs))
+	for i, idx := range idxs {
+		s := ds.Samples[idx]
+		loss, dLogits := nn.SoftmaxCrossEntropy(net.Forward(s.X), s.Label)
+		net.Backward(dLogits)
+		losses[i] = loss
+	}
+	return losses
+}
+
 // TestFitBatchedMatchesPerSample: batched minibatch evaluation must
-// produce a bit-identical model to the legacy sample-at-a-time loop —
-// the batched engine accumulates every gradient cell's per-sample terms
-// in the same order — both serially and under worker fan-out.
+// produce a bit-identical model to the sample-at-a-time loop — the
+// batched engine accumulates every gradient cell's per-sample terms in
+// the same order — both serially and under worker fan-out.
 func TestFitBatchedMatchesPerSample(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		perSample := fitOnceCfg(t, workers, true)
-		batched := fitOnceCfg(t, workers, false)
+		perSample := fitOnceWith(t, workers, perSampleChunk)
+		batched := fitOnceWith(t, workers, gradChunk)
 		for i := 0; i < perSample.NumParams(); i++ {
 			if perSample.ParamAt(i) != batched.ParamAt(i) {
 				t.Fatalf("workers %d: param %d differs between per-sample and batched training: %v vs %v",

@@ -8,9 +8,9 @@ import (
 
 // Cross-connection request coalescing. A fleet serving many small
 // clients sees a stream of single-query requests on different
-// connections; each alone evaluates as one per-sample forward pass,
-// leaving the batched engine — whose per-sample bit-identity the suite
-// machinery already guarantees — idle. When ServerOptions.CoalesceWindow
+// connections; each alone evaluates as a forward pass on a batch of
+// one, leaving the batched engine — whose per-sample bit-identity the
+// suite machinery already guarantees — idle. When ServerOptions.CoalesceWindow
 // is set, single-input requests of the same precision and input shape
 // are gathered across connections — whatever their dialect — for up to
 // the window (or until CoalesceBatch queries) into one ForwardBatch on

@@ -83,29 +83,21 @@ func (e *evaluator) checkout(f32 bool) (evalFunc, func()) {
 	return func(xs []*tensor.Tensor) (out []*tensor.Tensor, err error) {
 		// NetF32 keeps no batch caches, so there is nothing to release;
 		// shape panics come back as errors exactly as on evalOn.
-		defer func() {
-			if r := recover(); r != nil {
-				out, err = nil, fmt.Errorf("query rejected: %v", r)
-			}
-		}()
+		defer recoverQuery(&out, &err)
 		out = make([]*tensor.Tensor, len(xs))
-		if len(xs) > 1 && sameShapes(xs) {
-			batch := tensor.NewOf[float32](append([]int{len(xs)}, xs[0].Shape()...)...)
-			bd, sz := batch.Data(), xs[0].Size()
-			for i, x := range xs {
+		shapeRuns(xs, func(run []*tensor.Tensor, first int) {
+			batch := tensor.NewOf[float32](append([]int{len(run)}, run[0].Shape()...)...)
+			bd, sz := batch.Data(), run[0].Size()
+			for i, x := range run {
 				for j, v := range x.Data() {
 					bd[i*sz+j] = float32(v)
 				}
 			}
 			logits := clone.ForwardBatch(batch).F64()
-			for i := range xs {
-				out[i] = logits.Sample(i)
+			for i := range run {
+				out[first+i] = logits.Sample(i)
 			}
-			return out, nil
-		}
-		for i, x := range xs {
-			out[i] = clone.Forward(x.F32()).F64()
-		}
+		})
 		return out, nil
 	}, func() { e.clones32.Release(clone) }
 }
@@ -174,36 +166,43 @@ func NewPooledF32IP(network *nn.Network, workers int) *PooledF32IP {
 	return &PooledF32IP{&evaluator{clones32: nn.NewClonePoolF32(network, workers)}}
 }
 
-// evalOn runs the queries on the net: same-shaped multi-input batches
-// as one batched forward pass (bit-identical per sample to individual
-// forwards), anything else per sample. A panic from a malformed input
-// shape comes back as an error, leaving the network usable; batch
-// caches are released even then — a mid-stack shape panic happens after
-// earlier layers already cached batch state, which must not ride back
-// into a clone pool pinning heap.
+// evalOn runs the queries on the net, each run of consecutive
+// same-shaped inputs as one batched forward pass, whose logits rows are
+// bit-identical to batches of one. A panic from a malformed input shape
+// comes back as an error, leaving the network usable; batch caches are
+// released even then — a mid-stack shape panic happens after earlier
+// layers already cached batch state, which must not ride back into a
+// clone pool pinning heap.
 func evalOn(net *nn.Network, xs []*tensor.Tensor) (out []*tensor.Tensor, err error) {
-	if len(xs) > 1 && sameShapes(xs) {
-		defer net.ReleaseBatchState()
-		defer func() {
-			if r := recover(); r != nil {
-				out, err = nil, fmt.Errorf("query rejected: %v", r)
-			}
-		}()
-		logits := net.ForwardBatch(tensor.Stack(xs))
-		out = make([]*tensor.Tensor, len(xs))
-		for i := range xs {
-			out[i] = logits.Sample(i).Clone()
-		}
-		return out, nil
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("query rejected: %v", r)
-		}
-	}()
+	defer net.ReleaseBatchState()
+	defer recoverQuery(&out, &err)
 	out = make([]*tensor.Tensor, len(xs))
-	for i, x := range xs {
-		out[i] = net.Forward(x).Clone()
-	}
+	shapeRuns(xs, func(run []*tensor.Tensor, first int) {
+		logits := net.ForwardBatch(tensor.Stack(run))
+		for i := range run {
+			out[first+i] = logits.Sample(i).Clone()
+		}
+	})
 	return out, nil
+}
+
+// shapeRuns calls fn on each maximal run of consecutive same-shaped
+// inputs of xs, in order, with the index of the run's first input.
+func shapeRuns(xs []*tensor.Tensor, fn func(run []*tensor.Tensor, first int)) {
+	for lo := 0; lo < len(xs); {
+		hi := lo + 1
+		for hi < len(xs) && xs[hi].SameShape(xs[lo]) {
+			hi++
+		}
+		fn(xs[lo:hi], lo)
+		lo = hi
+	}
+}
+
+// recoverQuery turns a panic of the deferring evaluation into its
+// "query rejected" error.
+func recoverQuery(out *[]*tensor.Tensor, err *error) {
+	if r := recover(); r != nil {
+		*out, *err = nil, fmt.Errorf("query rejected: %v", r)
+	}
 }

@@ -74,8 +74,7 @@ func (ip LocalIP) Query(x *tensor.Tensor) (*tensor.Tensor, error) {
 
 // QueryBatch implements BatchIP. Same-shaped inputs run as one batched
 // forward pass, whose per-sample logits are bit-identical to individual
-// Query calls; mixed shapes fall back to the per-sample loop (shared
-// with the server and PooledIP via evalOn).
+// Query calls (evalOn, shared with the server and PooledIP).
 func (ip LocalIP) QueryBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if len(xs) == 0 {
 		return nil, &QueryError{Msg: "validate: empty query batch"}
@@ -96,16 +95,6 @@ func queryRange(lo, hi int) string {
 		return fmt.Sprintf("query %d", lo)
 	}
 	return fmt.Sprintf("queries %d-%d", lo, hi)
-}
-
-// sameShapes reports whether every tensor has the shape of the first.
-func sameShapes(xs []*tensor.Tensor) bool {
-	for _, x := range xs[1:] {
-		if !x.SameShape(xs[0]) {
-			return false
-		}
-	}
-	return true
 }
 
 // CompareMode selects how reference and observed outputs are compared.
