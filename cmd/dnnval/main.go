@@ -617,16 +617,8 @@ func cmdValidate(args []string) error {
 		if err := checkSuite(network, suite, *suitePath); err != nil {
 			return err
 		}
-		// Concurrent local replay needs per-worker clones; the serial
-		// float64 case keeps the allocation-free direct path.
-		switch {
-		case *f32:
-			ip = validate.NewPooledF32IP(network, *workers)
-		case *workers > 1:
-			ip = validate.NewPooledIP(network, *workers)
-		default:
-			ip = validate.LocalIP{Net: network}
-		}
+		// One snapshot serves every replay worker.
+		ip = validate.NewSnapshotIP(network, *f32)
 	default:
 		return fmt.Errorf("need -model or -addr")
 	}
@@ -647,8 +639,8 @@ func cmdServe(args []string) error {
 	model := fs.String("model", "model.gob", "model file")
 	addr := fs.String("addr", "127.0.0.1:7077", "listen address of the first replica")
 	replicas := fs.Int("replicas", 1, "replica endpoints to serve, on consecutive ports from -addr")
-	workers := fs.Int("workers", 0, "network clones (= concurrent queries) per replica; 0 = whole machine")
-	f32 := fs.Bool("f32", false, "additionally host a float32 inference fleet per replica: protocol-v3 clients (dnnval validate -f32) are served reduced-precision, v2 clients stay bit-exact float64")
+	workers := fs.Int("workers", 0, "concurrent queries per replica, all evaluated on one shared snapshot of the model; 0 = whole machine")
+	f32 := fs.Bool("f32", false, "additionally host a float32 snapshot of the model per replica: protocol-v3 clients (dnnval validate -f32) are served reduced-precision, v2 clients stay bit-exact float64")
 	maxWire := fs.Int("max-wire", 0, "highest wire protocol version to negotiate, 0 = the build's highest (v5, so -wire quant clients probe the shared frame store); pin to 2-4 to serve exactly as an older build would (interop/rollback)")
 	cacheFrames := fs.Int("cache-frames", 0, "per-session replay-frame cache bound in frames for v5 sessions (0 = the compiled default, 256)")
 	cacheBytes := fs.Int("cache-bytes", 0, "per-session replay-frame cache bound in bytes for v5 sessions (0 = the compiled default, 8 MiB)")

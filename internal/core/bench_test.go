@@ -85,9 +85,10 @@ func BenchmarkCombinedParallel(b *testing.B) { benchCombined(b, parallel.Auto())
 func benchParamSets(b *testing.B, workers, batch int) {
 	bed := benchBed()
 	cfg := coverage.DefaultConfig(bed.net)
+	xs := inputsOf(bed.ds)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sets := coverage.ParamSetsParallel(bed.net, bed.ds, cfg, workers, batch)
+		sets := coverage.ParamSetsOf(bed.net, xs, cfg, workers, batch)
 		if len(sets) != bed.ds.Len() {
 			b.Fatal("bad sets")
 		}

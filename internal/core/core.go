@@ -452,22 +452,23 @@ func Combined(net *nn.Network, train *data.Dataset, opts Options) (*Result, erro
 		}
 
 		// Switch: Algorithm 2 takes over, starting with the probe batch.
+		// The tail starts from the covered set so far and extracts each
+		// of its inputs, so its curve and covered set continue ours.
 		res.SwitchPoint = len(res.Tests)
 		for c := 0; c < classes && len(res.Tests) < opts.MaxTests; c++ {
 			acc.Add(probeSets[c])
 			res.add(xs[c], c, FromSynthesis, acc.Coverage())
 		}
+		res.Covered = acc.Set()
 		if remaining := opts.MaxTests - len(res.Tests); remaining > 0 {
 			tailOpts := opts
 			tailOpts.MaxTests = remaining
 			tail := rt.synthesisFrom(inShape, classes, tailOpts, acc.Set())
-			tailSets := rt.paramSetsOf(tail.Tests)
 			for i := range tail.Tests {
-				acc.Add(tailSets[i])
-				res.add(tail.Tests[i], tail.Labels[i], FromSynthesis, acc.Coverage())
+				res.add(tail.Tests[i], tail.Labels[i], FromSynthesis, tail.Curve[i])
 			}
+			res.Covered = tail.Covered
 		}
-		res.Covered = acc.Set()
 		return res, nil
 	}
 	res.Covered = acc.Set()

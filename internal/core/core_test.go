@@ -9,6 +9,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 	"repro/internal/train"
 )
 
@@ -362,5 +363,40 @@ func TestResidualNetZeroesCoveredParams(t *testing.T) {
 	// The original network must be untouched.
 	if net.NumParams() != res.NumParams() {
 		t.Fatal("architecture mismatch")
+	}
+}
+
+// TestCombinedExtractsTailOnce counts the extraction passes of a
+// Combined run that switches to synthesis with a tail to fill: one per
+// greedy step's probe and one per tail round, so each synthetic test is
+// extracted exactly once.
+func TestCombinedExtractsTailOnce(t *testing.T) {
+	net := trainedDigitsNet()
+	ds := digitsTrainSet()
+	opts := DefaultOptions(25)
+	opts.Steps = 15
+	passes, extracted := 0, map[*tensor.Tensor]int{}
+	testHookExtract = func(xs []*tensor.Tensor) {
+		passes++
+		for _, x := range xs {
+			extracted[x]++
+		}
+	}
+	defer func() { testHookExtract = nil }()
+	res, err := Combined(net, ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := len(res.Tests) - res.SwitchPoint - ds.Classes
+	if res.SwitchPoint < 0 || tail <= 0 {
+		t.Fatalf("switch at %d of %d tests leaves no synthesis tail to check", res.SwitchPoint, len(res.Tests))
+	}
+	if want := res.SwitchPoint + 1 + (tail+ds.Classes-1)/ds.Classes; passes != want {
+		t.Fatalf("%d extraction passes, want %d (%d probes, then the tail's rounds)", passes, want, res.SwitchPoint+1)
+	}
+	for i := res.SwitchPoint; i < len(res.Tests); i++ {
+		if n := extracted[res.Tests[i]]; n != 1 {
+			t.Fatalf("synthetic test %d extracted %d times", i, n)
+		}
 	}
 }

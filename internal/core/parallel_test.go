@@ -172,7 +172,7 @@ func TestRandomSelectParallelBitIdentical(t *testing.T) {
 func TestGreedyScannerMatchesSerialScan(t *testing.T) {
 	net := trainedDigitsNet()
 	ds := data.Digits(40, 12, 12, 55)
-	sets := coverage.ParamSets(net, ds, coverage.Config{})
+	sets := coverage.ParamSetsOf(net, inputsOf(ds), coverage.Config{}, 1, 1)
 
 	for _, workers := range []int{1, 3, 8} {
 		used := make([]bool, len(sets))
@@ -199,7 +199,7 @@ func TestGreedyScannerMatchesSerialScan(t *testing.T) {
 func TestGreedyScannerSkipsExternallyUsed(t *testing.T) {
 	net := trainedDigitsNet()
 	ds := data.Digits(20, 12, 12, 56)
-	sets := coverage.ParamSets(net, ds, coverage.Config{})
+	sets := coverage.ParamSetsOf(net, inputsOf(ds), coverage.Config{}, 1, 1)
 	used := make([]bool, len(sets))
 	acc := coverage.NewAccumulator(net.NumParams())
 	scan := newGreedyScanner(sets, acc, 1)

@@ -9,9 +9,19 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestPinnedExtractorMatchesParamSets: the pinned extractor must
-// reproduce ParamSetsParallel/ParamSetsOf exactly, including after a
-// Sync, at per-sample and batched settings.
+// inputsOf returns the inputs of ds in order.
+func inputsOf(ds *data.Dataset) []*tensor.Tensor {
+	xs := make([]*tensor.Tensor, ds.Len())
+	for i, s := range ds.Samples {
+		xs[i] = s.X
+	}
+	return xs
+}
+
+// TestPinnedExtractorMatchesParamSets: the pinned extractor must give
+// every input the set ParamActivation gives it alone (a batch of one
+// on the network itself), at per-sample and batched settings, and
+// ParamSetsOf, its one-call form, must give the same sets.
 func TestPinnedExtractorMatchesParamSets(t *testing.T) {
 	net := trainedDigitsNet()
 	train := data.Digits(20, 12, 12, 107)
@@ -19,27 +29,14 @@ func TestPinnedExtractorMatchesParamSets(t *testing.T) {
 
 	for _, batch := range []int{1, 4} {
 		pool := parallel.NewPool(3)
-		ext := coverage.NewPinnedExtractor(net, pool, batch)
-
-		want := coverage.ParamSetsParallel(net, train, cfg, 3, batch)
-		got := ext.ParamSets(train, cfg)
-		for i := range want {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("batch %d: pinned ParamSets differs at sample %d", batch, i)
+		got := coverage.NewPinnedExtractor(net, pool, batch).ParamSets(train, cfg)
+		pool.Close()
+		once := coverage.ParamSetsOf(net, inputsOf(train), cfg, 2, batch)
+		for i, s := range train.Samples {
+			want := coverage.ParamActivation(net, s.X, cfg)
+			if !got[i].Equal(want) || !once[i].Equal(want) {
+				t.Fatalf("batch %d: extraction differs from ParamActivation at sample %d", batch, i)
 			}
 		}
-
-		// Sync against a perturbed master changes the extraction like a
-		// fresh per-call clone of that master would.
-		perturbed := net.Clone()
-		perturbed.SetParamAt(0, perturbed.ParamAt(0)+3)
-		ext.Sync(perturbed)
-		xs := train.Samples[0].X
-		wantP := coverage.ParamSetsOf(perturbed, []*tensor.Tensor{xs}, cfg, 1, batch)
-		gotP := ext.ParamSetsOf([]*tensor.Tensor{xs}, cfg)
-		if !gotP[0].Equal(wantP[0]) {
-			t.Fatalf("batch %d: pinned extraction after Sync differs", batch)
-		}
-		pool.Close()
 	}
 }

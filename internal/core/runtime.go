@@ -58,6 +58,9 @@ func (rt *genRuntime) paramSets(train *data.Dataset) []*bitset.Set {
 // input it repeats. Algorithm 2 often returns repeats: a probe row that
 // the residual network leaves at its zero start is one.
 func (rt *genRuntime) paramSetsOf(xs []*tensor.Tensor) []*bitset.Set {
+	if testHookExtract != nil {
+		testHookExtract(xs)
+	}
 	uniq, of := distinctInputs(xs)
 	sets := rt.extractor().ParamSetsOf(uniq, rt.opts.Coverage)
 	out := make([]*bitset.Set, len(xs))
@@ -71,6 +74,10 @@ func (rt *genRuntime) paramSetsOf(xs []*tensor.Tensor) []*bitset.Set {
 	}
 	return out
 }
+
+// testHookExtract, when set, sees the inputs of every paramSetsOf
+// call; tests count extraction passes with it.
+var testHookExtract func(xs []*tensor.Tensor)
 
 // distinctInputs returns the bit-distinct inputs of xs in order of
 // first appearance, and for each input the index of its first

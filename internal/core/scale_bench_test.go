@@ -31,10 +31,11 @@ func scaleBed(b *testing.B) (*nn.Network, *data.Dataset) {
 func BenchmarkScaleParamSetsBatchSweep(b *testing.B) {
 	net, ds := scaleBed(b)
 	cfg := coverage.DefaultConfig(net)
+	xs := inputsOf(ds)
 	for _, batch := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				coverage.ParamSetsParallel(net, ds, cfg, parallel.Auto(), batch)
+				coverage.ParamSetsOf(net, xs, cfg, parallel.Auto(), batch)
 			}
 		})
 	}

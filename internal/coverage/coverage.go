@@ -18,7 +18,6 @@ import (
 	"math"
 
 	"repro/internal/bitset"
-	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -105,69 +104,21 @@ func gradSet(net *nn.Network, cfg Config) *bitset.Set {
 	return set
 }
 
-// ParamSets computes the activation set of every sample in ds; the
-// precomputation step of the greedy selector (Algorithm 1).
-func ParamSets(net *nn.Network, ds *data.Dataset, cfg Config) []*bitset.Set {
-	return ParamSetsParallel(net, ds, cfg, 1, 1)
-}
-
-// ParamSetsParallel is ParamSets fanned out across workers and batched
-// within each worker. Each worker runs on its own clone of net (layers
-// cache per-input state, so a network cannot be shared) over contiguous
-// batches of up to batch samples: one batched forward pass shares the
-// large per-layer GEMMs, then each sample's parameter gradients come out
-// of a per-sample backward against the batch caches. Every logits row
-// and every gradient is bit-identical at any batch size, so the result
-// is independent of both workers and batch (batch <= 1 extracts one
-// sample at a time).
-func ParamSetsParallel(net *nn.Network, ds *data.Dataset, cfg Config, workers, batch int) []*bitset.Set {
-	return paramSets(net, func(i int) *tensor.Tensor { return ds.Samples[i].X }, ds.Len(), cfg, workers, batch)
-}
-
-// ParamSetsOf computes the activation set of each input tensor, fanning
-// out across workers and batching within each like ParamSetsParallel.
+// ParamSetsOf computes the activation set of each input tensor, the
+// precomputation step of the greedy selector (Algorithm 1), on a
+// PinnedExtractor whose pool of workers lives for the call. Each worker
+// runs on its own clone of net (layers cache per-input state, so a
+// network cannot be shared) over contiguous batches of up to batch
+// inputs: one batched forward pass shares the large per-layer GEMMs,
+// then each input's parameter gradients come out of a per-sample
+// backward against the batch caches. Every logits row and every
+// gradient is bit-identical at any batch size, so the result is
+// independent of both workers and batch (batch <= 1 extracts one input
+// at a time).
 func ParamSetsOf(net *nn.Network, xs []*tensor.Tensor, cfg Config, workers, batch int) []*bitset.Set {
-	return paramSets(net, func(i int) *tensor.Tensor { return xs[i] }, len(xs), cfg, workers, batch)
-}
-
-// workerBatches fans [0,n) out across workers (per-worker clones of
-// net) and walks each worker's range in contiguous chunks of up to
-// batch samples, gathering the chunk's inputs and handing them to fn
-// together with the clone. batch <= 1 yields batches of one.
-func workerBatches(net *nn.Network, input func(int) *tensor.Tensor, n, workers, batch int,
-	fn func(clone *nn.Network, xs []*tensor.Tensor, start int)) {
-	batch = max(batch, 1)
-	workers = parallel.Effective(n, parallel.Workers(workers))
-	run := func(clone *nn.Network, lo, hi int) {
-		for start := lo; start < hi; start += batch {
-			end := min(start+batch, hi)
-			xs := make([]*tensor.Tensor, end-start)
-			for j := range xs {
-				xs[j] = input(start + j)
-			}
-			fn(clone, xs, start)
-		}
-	}
-	if workers <= 1 {
-		run(net, 0, n)
-		// The serial path ran on the caller's live network; drop the
-		// last batch's caches so they don't stay pinned after
-		// extraction. (Worker clones just become garbage.)
-		net.ReleaseBatchState()
-		return
-	}
-	clones := workerClones(net, workers)
-	parallel.For(n, workers, func(w, lo, hi int) {
-		run(clones[w], lo, hi)
-	})
-}
-
-func paramSets(net *nn.Network, input func(int) *tensor.Tensor, n int, cfg Config, workers, batch int) []*bitset.Set {
-	sets := make([]*bitset.Set, n)
-	workerBatches(net, input, n, workers, batch, func(clone *nn.Network, xs []*tensor.Tensor, start int) {
-		paramSetsBatch(clone, xs, cfg, sets[start:start+len(xs)])
-	})
-	return sets
+	pool := parallel.NewPool(parallel.Effective(len(xs), workers))
+	defer pool.Close()
+	return NewPinnedExtractor(net, pool, batch).ParamSetsOf(xs, cfg)
 }
 
 // paramSetsBatch extracts the activation set of every input in one
@@ -183,15 +134,6 @@ func paramSetsBatch(net *nn.Network, xs []*tensor.Tensor, cfg Config, out []*bit
 		net.BackwardSample(b, ones)
 		out[b] = gradSet(net, cfg)
 	}
-}
-
-// workerClones returns one deep copy of net per worker.
-func workerClones(net *nn.Network, workers int) []*nn.Network {
-	clones := make([]*nn.Network, workers)
-	for w := range clones {
-		clones[w] = net.Clone()
-	}
-	return clones
 }
 
 // VC returns the validation coverage of a set of test inputs: the

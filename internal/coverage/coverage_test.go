@@ -149,7 +149,11 @@ func TestDefaultConfigPicksByActivation(t *testing.T) {
 func TestAccumulatorGainAndMonotonicity(t *testing.T) {
 	net := models.Tiny(nn.ReLU, 1, 8, 8, 2, 10, 37)
 	ds := data.Digits(10, 8, 8, 38)
-	sets := ParamSets(net, ds, Config{})
+	xs := make([]*tensor.Tensor, ds.Len())
+	for i, s := range ds.Samples {
+		xs[i] = s.X
+	}
+	sets := ParamSetsOf(net, xs, Config{}, 1, 1)
 	acc := NewAccumulator(net.NumParams())
 	prev := 0
 	for i, s := range sets {

@@ -9,17 +9,16 @@ import (
 )
 
 // PinnedExtractor runs activation extraction on a persistent
-// parallel.Pool with one network clone pinned to each worker. Where
-// ParamSetsParallel clones the network on every call, a PinnedExtractor
-// clones once at construction and reuses the clones across all the
-// extraction calls of a generator run — the per-call cost drops to the
-// fan-out itself. Pool worker identities are stable, so worker w always
-// evaluates on clone w with no synchronisation beyond the pool's own.
+// parallel.Pool with one network clone pinned to each worker. It clones
+// once at construction and reuses the clones across all the extraction
+// calls made with it, such as those of a generator run, so the per-call
+// cost drops to the fan-out itself. Pool worker identities are stable,
+// so worker w always evaluates on clone w with no synchronisation
+// beyond the pool's own.
 //
-// Extraction results depend only on parameters and inputs, and the pool
-// partitions [0,n) exactly as parallel.For does at the pool's worker
-// count, so every extraction is bit-identical to
-// ParamSetsParallel/ParamSetsOf with workers = pool.Workers().
+// Extraction results depend only on parameters and inputs, so every
+// extraction is bit-identical to ParamActivation on each input alone,
+// at any worker count and batch size.
 //
 // A PinnedExtractor must only be used from one dispatching goroutine at
 // a time (the pool's own discipline).
@@ -31,7 +30,7 @@ type PinnedExtractor struct {
 
 // NewPinnedExtractor pins one clone of net to every worker of pool.
 // batch is the per-worker evaluation batch size (values < 1 mean
-// batches of one, like the batch argument of ParamSetsParallel).
+// batches of one, like the batch argument of ParamSetsOf).
 func NewPinnedExtractor(net *nn.Network, pool *parallel.Pool, batch int) *PinnedExtractor {
 	if batch < 1 {
 		batch = 1
@@ -43,48 +42,27 @@ func NewPinnedExtractor(net *nn.Network, pool *parallel.Pool, batch int) *Pinned
 	return e
 }
 
-// Sync refreshes every pinned clone's parameters from src, each worker
-// touching only its own clone.
-func (e *PinnedExtractor) Sync(src *nn.Network) {
-	e.pool.Each(func(w int) { e.clones[w].SyncParamsFrom(src) })
-}
-
 // ParamSets computes the activation set of every sample in ds on the
-// pinned clones; bit-identical to ParamSetsParallel at the pool's
-// worker count.
+// pinned clones.
 func (e *PinnedExtractor) ParamSets(ds *data.Dataset, cfg Config) []*bitset.Set {
-	return e.paramSets(func(i int) *tensor.Tensor { return ds.Samples[i].X }, ds.Len(), cfg)
+	xs := make([]*tensor.Tensor, ds.Len())
+	for i, s := range ds.Samples {
+		xs[i] = s.X
+	}
+	return e.ParamSetsOf(xs, cfg)
 }
 
 // ParamSetsOf computes the activation set of each input tensor on the
-// pinned clones; bit-identical to ParamSetsOf at the pool's worker
-// count.
+// pinned clones: the pool splits the inputs into contiguous ranges, and
+// each worker walks its range in batches of up to the extractor's
+// batch.
 func (e *PinnedExtractor) ParamSetsOf(xs []*tensor.Tensor, cfg Config) []*bitset.Set {
-	return e.paramSets(func(i int) *tensor.Tensor { return xs[i] }, len(xs), cfg)
-}
-
-func (e *PinnedExtractor) paramSets(input func(int) *tensor.Tensor, n int, cfg Config) []*bitset.Set {
-	sets := make([]*bitset.Set, n)
-	e.chunks(input, n, func(clone *nn.Network, xs []*tensor.Tensor, start int) {
-		paramSetsBatch(clone, xs, cfg, sets[start:start+len(xs)])
-	})
-	return sets
-}
-
-// chunks fans [0,n) out over the pool's pinned clones and walks each
-// worker's range in contiguous chunks of up to the extractor's batch —
-// the pinned counterpart of workerBatches.
-func (e *PinnedExtractor) chunks(input func(int) *tensor.Tensor, n int,
-	fn func(clone *nn.Network, xs []*tensor.Tensor, start int)) {
-	e.pool.For(n, func(w, lo, hi int) {
-		clone := e.clones[w]
+	sets := make([]*bitset.Set, len(xs))
+	e.pool.For(len(xs), func(w, lo, hi int) {
 		for start := lo; start < hi; start += e.batch {
 			end := min(start+e.batch, hi)
-			xs := make([]*tensor.Tensor, end-start)
-			for j := range xs {
-				xs[j] = input(start + j)
-			}
-			fn(clone, xs, start)
+			paramSetsBatch(e.clones[w], xs[start:end], cfg, sets[start:end])
 		}
 	})
+	return sets
 }

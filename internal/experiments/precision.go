@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 	"repro/internal/validate"
 )
@@ -37,8 +38,8 @@ type PrecisionRow struct {
 	ReplayPass bool
 }
 
-// RunPrecision compares the float32 inference clone of each setup's
-// network against the float64 reference over probes training samples,
+// RunPrecision compares the float32 snapshot of each setup's network
+// against the float64 reference over probes training samples,
 // and replays an ExactOutputs suite of those samples against the
 // float32 path under tol.
 func RunPrecision(setups []*Setup, probes int, tol float64) (*Precision, error) {
@@ -49,7 +50,7 @@ func RunPrecision(setups []*Setup, probes int, tol float64) (*Precision, error) 
 		for i := 0; i < n; i++ {
 			xs[i] = s.Train.Samples[i].X
 		}
-		f32 := s.Net.ConvertF32()
+		f32 := nn.Freeze[float32](s.Net)
 		maxDev, agree := 0.0, 0
 		for _, x := range xs {
 			want := s.Net.Forward(x)
@@ -65,7 +66,7 @@ func RunPrecision(setups []*Setup, probes int, tol float64) (*Precision, error) 
 		}
 
 		suite := validate.BuildSuite(s.Name+"-precision", s.Net, xs, validate.ExactOutputs)
-		ip := validate.NewPooledF32IP(s.Net, 1)
+		ip := validate.NewSnapshotIP(s.Net, true)
 		rep, err := suite.ValidateWith(ip, validate.ValidateOptions{Tolerance: tol})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: precision replay for %s: %w", s.Name, err)

@@ -9,11 +9,12 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
 // f32Digests pins the float32 inference path bit for bit: the SHA-256
-// of the float32 logits bits of ConvertF32() on both Table I
+// of the float32 logits bits of nn.Freeze[float32] on both Table I
 // substitutes, over eight inputs in order. The batched pass and each
 // input on its own must both give it.
 var f32Digests = map[string]string{
@@ -34,7 +35,7 @@ func f32Hash(rows []*tensor.T32) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestF32LogitsMatchStoredDigests runs the float32 conversion of each
+// TestF32LogitsMatchStoredDigests runs the float32 snapshot of each
 // Table I substitute on eight of its dataset's inputs, as one batch and
 // one input at a time, and holds both to the stored digest.
 func TestF32LogitsMatchStoredDigests(t *testing.T) {
@@ -52,7 +53,7 @@ func TestF32LogitsMatchStoredDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f32 := net.ConvertF32()
+		f32 := nn.Freeze[float32](net)
 		xs := make([]*tensor.T32, c.ds.Len())
 		for i, s := range c.ds.Samples {
 			xs[i] = s.X.F32()

@@ -41,12 +41,18 @@ func (n *Network) Clone() *Network {
 // sameRegistry panics unless src's parameter registry matches n's
 // (same tensor count and sizes), the precondition of the bulk copies.
 func (n *Network) sameRegistry(src *Network, op string) {
-	if len(n.flat) != len(src.flat) {
-		panic(fmt.Sprintf("nn: %s across different architectures (%d vs %d param tensors)", op, len(n.flat), len(src.flat)))
+	checkRegistry(len(n.flat), func(i int) int { return n.flat[i].W.Size() }, src, op)
+}
+
+// checkRegistry panics unless src's parameter registry has count
+// tensors and tensor i has size(i) elements.
+func checkRegistry(count int, size func(i int) int, src *Network, op string) {
+	if count != len(src.flat) {
+		panic(fmt.Sprintf("nn: %s across different architectures (%d vs %d param tensors)", op, count, len(src.flat)))
 	}
-	for i, p := range n.flat {
-		if p.W.Size() != src.flat[i].W.Size() {
-			panic(fmt.Sprintf("nn: %s param %d size mismatch (%d vs %d)", op, i, p.W.Size(), src.flat[i].W.Size()))
+	for i, p := range src.flat {
+		if size(i) != p.W.Size() {
+			panic(fmt.Sprintf("nn: %s param %d size mismatch (%d vs %d)", op, i, size(i), p.W.Size()))
 		}
 	}
 }

@@ -43,7 +43,7 @@ func BenchmarkConvForwardF64(b *testing.B) {
 
 func BenchmarkConvForwardF32(b *testing.B) {
 	c, x := benchConv(b)
-	net := NewNetwork(c).ConvertF32()
+	net := Freeze[float32](NewNetwork(c))
 	x32 := x.F32()
 	b.ReportAllocs()
 	b.ResetTimer()

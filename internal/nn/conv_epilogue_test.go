@@ -109,7 +109,7 @@ func TestConvForwardF32MatchesPreEpilogueSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, c := range convBeds(t) {
 		net := NewNetwork(c)
-		f32 := net.ConvertF32()
+		f32 := Freeze[float32](net)
 		for _, b := range []int{1, 4} {
 			x := randIn(rng, b, c.InC, c.InH, c.InW)
 			x32 := x.F32()

@@ -8,6 +8,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // suffixNet is a stack the suffix-replay tests run on, with inputs.
@@ -44,10 +45,19 @@ func sameBits(a, b []float64) bool {
 // TestForwardFromRecordedInputs: re-running the stack from any
 // recorded layer input gives Forward's logits bit for bit, also after
 // an edit in that layer, and ForwardRecord records exactly the
-// parameter-owning layers' inputs.
+// parameter-owning layers' inputs. A float64 snapshot of the stack
+// (nn.Freeze) gives ForwardBatch's logits bit for bit.
 func TestForwardFromRecordedInputs(t *testing.T) {
 	for _, sn := range suffixNets(t) {
 		name, net := sn.name, sn.net
+		xs := make([]*tensor.Tensor, sn.inputs.Len())
+		for i, s := range sn.inputs.Samples {
+			xs[i] = s.X
+		}
+		batch := tensor.Stack(xs)
+		if !sameBits(nn.Freeze[float64](net).ForwardBatch(batch).Data(), net.ForwardBatch(batch).Data()) {
+			t.Fatalf("%s: Freeze[float64] logits differ from ForwardBatch", name)
+		}
 		for i, s := range sn.inputs.Samples {
 			x := s.X
 			rec := net.ForwardRecord(x)

@@ -15,8 +15,8 @@
 // batch the instruction sequence it gets alone, so a sample's outputs
 // and gradients are bit-identical at any batch size. A backward pass
 // must follow a forward pass over the same batch, the usual tape
-// discipline. The float32 inference path (f32.go) runs the same
-// forward code at float32.
+// discipline. Frozen (frozen.go) runs the same forward code, at
+// float64 or float32, as a snapshot that keeps no per-call state.
 package nn
 
 import (

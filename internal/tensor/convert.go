@@ -27,9 +27,8 @@ func (t *Dense[E]) F64() *T64 {
 }
 
 // ConvertInto copies src into dst elementwise, converting between
-// precisions without allocating — the hot path of a serving fleet
-// re-quantising its float32 clones from the float64 master. It panics
-// on a shape mismatch.
+// precisions without allocating; nn.Freeze converts a network's
+// parameters with it. It panics on a shape mismatch.
 func ConvertInto[D, S Num](dst *Dense[D], src *Dense[S]) {
 	if len(dst.data) != len(src.data) {
 		panic(fmt.Sprintf("tensor: ConvertInto size mismatch %v vs %v", dst.shape, src.shape))

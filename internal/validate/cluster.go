@@ -33,7 +33,7 @@ import (
 // doubles the backoff up to a cap. A restarted server therefore
 // rejoins the fleet within one backoff interval, and a still-dead one
 // costs at most one probing request per interval. ShardedIP is safe
-// for concurrent use when its replicas are (RemoteIP and PooledIP are;
+// for concurrent use when its replicas are (RemoteIP and SnapshotIP are;
 // a bare LocalIP is not); concurrent suite replay then shards
 // naturally across the fleet.
 type ShardedIP struct {

@@ -252,11 +252,11 @@ func TestShardedProbeBacksOff(t *testing.T) {
 
 // TestShardedLocalReplicas: ShardedIP is transport-agnostic — local
 // in-process replicas shard the same way (what the benchmarks and any
-// embedded multi-worker replay use). PooledIP replicas keep the
+// embedded multi-worker replay use). SnapshotIP replicas keep the
 // concurrent replay race-free.
 func TestShardedLocalReplicas(t *testing.T) {
 	suite := goldenSuite(t, 6, ExactOutputs)
-	cluster, err := NewShardedIP(NewPooledIP(goldenNet(), 2), NewPooledIP(goldenNet(), 2))
+	cluster, err := NewShardedIP(NewSnapshotIP(goldenNet(), false), NewSnapshotIP(goldenNet(), false))
 	if err != nil {
 		t.Fatal(err)
 	}

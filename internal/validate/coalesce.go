@@ -13,8 +13,8 @@ import (
 // suite machinery already guarantees — idle. When ServerOptions.CoalesceWindow
 // is set, single-input requests of the same precision and input shape
 // are gathered across connections — whatever their dialect — for up to
-// the window (or until CoalesceBatch queries) into one ForwardBatch on
-// a single clone, and the replies fan back out per connection in each
+// the window (or until CoalesceBatch queries) into one ForwardBatch,
+// and the replies fan back out per connection in each
 // dialect's own framing.
 //
 // Invisibility is by construction: ForwardBatch output sample i is

@@ -2,31 +2,72 @@ package validate
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
-// evaluator is the one engine behind every query the package answers
-// on pooled clones: the Server's sessions of every dialect, PooledIP
-// and PooledF32IP. It owns the float64 clone fleet, the optional
-// float32 fleet and the optional cross-connection coalescer, so a
-// dialect only decodes its request, asks for a precision, and encodes
-// the float64 outputs it gets back.
+// evaluator is the one engine behind every query a Server answers, in
+// every dialect. It holds the served snapshot, a semaphore of
+// ServerOptions.Workers slots that bounds concurrent evaluations, and
+// the optional cross-connection coalescer, so a dialect only decodes
+// its request, asks for a precision, and encodes the float64 outputs
+// it gets back.
 //
-// The float32 fleet converts at this boundary: inputs narrow to
-// float32 and outputs widen back. Both directions are exact for what
-// reaches it — a v3 frame's float32 values widened by the codec
-// narrow back to themselves, and every float32 widens exactly — so a
-// float32 answer carries the bits the float32 kernels computed.
+// A snapshot keeps no per-call state, so every evaluation shares it. A
+// hot sync freezes the new parameters and swaps the pointer
+// (read-copy-update): an evaluation loads the snapshot once and
+// finishes on it, so no query waits for a sync and none sees a torn
+// parameter set.
 type evaluator struct {
-	clones   *nn.ClonePool                       // float64 fleet; nil on a float32-only evaluator
-	clones32 *nn.ClonePoolF32                    // float32 fleet; nil unless hosted
-	coal     *coalescer[coalKey, *tensor.Tensor] // nil unless coalescing
+	snap  atomic.Pointer[snapshot]
+	slots chan struct{}                       // one per concurrent evaluation
+	coal  *coalescer[coalKey, *tensor.Tensor] // nil unless coalescing
 }
 
-// evalFunc evaluates a request's inputs on whatever its claim reserved.
+// snapshot is one parameter set frozen at each hosted precision.
+//
+// The float32 snapshot converts at this boundary: inputs narrow to
+// float32 and outputs widen back. Both directions are exact for what
+// reaches it — a v3 frame's float32 values widened by the codec narrow
+// back to themselves, and every float32 widens exactly — so a float32
+// answer carries the bits the float32 kernels computed.
+type snapshot struct {
+	f64 *nn.Frozen[float64] // the bit-exact snapshot; nil on a float32-only SnapshotIP
+	f32 *nn.Frozen[float32] // nil unless float32 is hosted
+}
+
+// eval evaluates xs at float32 when f32 is asked for and hosted, at
+// float64 otherwise.
+func (s *snapshot) eval(f32 bool, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	if f32 && s.f32 != nil {
+		return evalFrozen(s.f32, xs)
+	}
+	return evalFrozen(s.f64, xs)
+}
+
+// freeze snapshots network at float64, and at float32 too when f32 is
+// set.
+func freeze(network *nn.Network, f32 bool) *snapshot {
+	s := &snapshot{f64: nn.Freeze[float64](network)}
+	if f32 {
+		s.f32 = nn.Freeze[float32](network)
+	}
+	return s
+}
+
+// newEvaluator serves freeze(network, f32) behind workers evaluation
+// slots.
+func newEvaluator(network *nn.Network, f32 bool, workers int) *evaluator {
+	e := &evaluator{slots: make(chan struct{}, workers)}
+	e.snap.Store(freeze(network, f32))
+	return e
+}
+
+// evalFunc evaluates a request's inputs under whatever its claim
+// reserved.
 type evalFunc func(xs []*tensor.Tensor) ([]*tensor.Tensor, error)
 
 // coalKey groups coalesced queries: one batch holds one precision and
@@ -44,9 +85,9 @@ func (e *evaluator) coalesce(window time.Duration, batch int) {
 		batch = defaultCoalesceBatch
 	}
 	e.coal = newCoalescer(window, batch, func(k coalKey, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-		run, release := e.checkout(k.f32)
-		defer release()
-		return run(xs)
+		e.slots <- struct{}{}
+		defer func() { <-e.slots }()
+		return e.snap.Load().eval(k.f32, xs)
 	})
 }
 
@@ -54,13 +95,15 @@ func (e *evaluator) coalesce(window time.Duration, batch int) {
 // evaluation with the matching release. It is called before the
 // request's handler starts, so a claim that blocks backpressures the
 // decode loop: a single input on a coalescing evaluator takes a slot of
-// the connection's semaphore sem, anything else checks a clone out.
-// The float32 fleet answers when f32 is asked for and hosted, the
-// float64 clones otherwise.
+// the connection's semaphore sem, anything else an evaluation slot.
+// The float32 snapshot answers when f32 is asked for and hosted, the
+// float64 snapshot otherwise.
 func (e *evaluator) claim(f32 bool, n int, sem chan struct{}) (evalFunc, func()) {
-	f32 = f32 && e.clones32 != nil
+	f32 = f32 && e.snap.Load().f32 != nil
 	if e.coal == nil || n != 1 {
-		return e.checkout(f32)
+		e.slots <- struct{}{}
+		return func(xs []*tensor.Tensor) ([]*tensor.Tensor, error) { return e.snap.Load().eval(f32, xs) },
+			func() { <-e.slots }
 	}
 	sem <- struct{}{}
 	return func(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
@@ -72,107 +115,87 @@ func (e *evaluator) claim(f32 bool, n int, sem chan struct{}) (evalFunc, func())
 	}, func() { <-sem }
 }
 
-// checkout claims one clone of the given precision.
-func (e *evaluator) checkout(f32 bool) (evalFunc, func()) {
-	if !f32 {
-		clone := e.clones.Acquire()
-		return func(xs []*tensor.Tensor) ([]*tensor.Tensor, error) { return evalOn(clone, xs) },
-			func() { e.clones.Release(clone) }
-	}
-	clone := e.clones32.Acquire()
-	return func(xs []*tensor.Tensor) (out []*tensor.Tensor, err error) {
-		// NetF32 keeps no batch caches, so there is nothing to release;
-		// shape panics come back as errors exactly as on evalOn.
-		defer recoverQuery(&out, &err)
-		out = make([]*tensor.Tensor, len(xs))
-		shapeRuns(xs, func(run []*tensor.Tensor, first int) {
-			batch := tensor.NewOf[float32](append([]int{len(run)}, run[0].Shape()...)...)
-			bd, sz := batch.Data(), run[0].Size()
-			for i, x := range run {
-				for j, v := range x.Data() {
-					bd[i*sz+j] = float32(v)
-				}
-			}
-			logits := clone.ForwardBatch(batch).F64()
-			for i := range run {
-				out[first+i] = logits.Sample(i)
-			}
-		})
-		return out, nil
-	}, func() { e.clones32.Release(clone) }
+// SyncParamsFrom swaps in a snapshot of src at every hosted precision.
+// It first makes the registry check of Network.SyncParamsFrom, so a src
+// of another shape panics before anything changes. Evaluations already
+// running finish on the old snapshot.
+func (e *evaluator) SyncParamsFrom(src *nn.Network) {
+	old := e.snap.Load()
+	old.f64.CheckSync(src)
+	e.snap.Store(freeze(src, old.f32 != nil))
 }
 
-// Query implements IP for the pooled IPs.
-func (e *evaluator) Query(x *tensor.Tensor) (*tensor.Tensor, error) {
-	out, err := e.QueryBatch([]*tensor.Tensor{x})
+// SnapshotIP adapts an in-process network to concurrent validation: it
+// answers from a snapshot frozen at construction, at float64 or on the
+// float32 inference path. A snapshot keeps no per-call state, so any
+// number of callers may query at once; ReplayConfig.Workers bounds
+// them. At float64 the answers are bit-identical to LocalIP's. At
+// float32, queries narrow to float32 and the outputs widen back, the
+// in-process equivalent of a v3 session against an -f32 server; the
+// outputs approximate the float64 reference to rounding error, so
+// suite replay against it must use ValidateOptions.Tolerance.
+type SnapshotIP struct{ snap snapshot }
+
+// NewSnapshotIP freezes network at float32 when f32 is set, at float64
+// otherwise.
+func NewSnapshotIP(network *nn.Network, f32 bool) *SnapshotIP {
+	if f32 {
+		return &SnapshotIP{snapshot{f32: nn.Freeze[float32](network)}}
+	}
+	return &SnapshotIP{snapshot{f64: nn.Freeze[float64](network)}}
+}
+
+// Query implements IP.
+func (ip *SnapshotIP) Query(x *tensor.Tensor) (*tensor.Tensor, error) {
+	out, err := ip.QueryBatch([]*tensor.Tensor{x})
 	if err != nil {
 		return nil, err
 	}
 	return out[0], nil
 }
 
-// QueryBatch implements BatchIP for the pooled IPs: the batch runs on
-// one clone of whichever fleet the evaluator hosts.
-func (e *evaluator) QueryBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+// QueryBatch implements BatchIP.
+func (ip *SnapshotIP) QueryBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if len(xs) == 0 {
 		return nil, &QueryError{Msg: "validate: empty query batch"}
 	}
-	run, release := e.checkout(e.clones32 != nil)
-	defer release()
-	out, err := run(xs)
+	out, err := ip.snap.eval(ip.snap.f32 != nil, xs)
 	if err != nil {
 		return nil, &QueryError{Msg: err.Error()}
 	}
 	return out, nil
 }
 
-// SyncParamsFrom refreshes every hosted fleet from src (which must
-// share the served architecture): the float64 clones copy it, the
-// float32 clones re-quantise it. See nn.ClonePool.SyncParamsFrom.
-func (e *evaluator) SyncParamsFrom(src *nn.Network) {
-	if e.clones != nil {
-		e.clones.SyncParamsFrom(src)
-	}
-	if e.clones32 != nil {
-		e.clones32.SyncParamsFrom(src)
-	}
+// evalFrozen runs the queries on the snapshot at its precision, each
+// run of consecutive same-shaped inputs as one batched forward pass,
+// whose logits rows are bit-identical to batches of one. A panic from a
+// malformed input shape comes back as an error.
+func evalFrozen[E tensor.Num](net *nn.Frozen[E], xs []*tensor.Tensor) (out []*tensor.Tensor, err error) {
+	defer recoverQuery(&out, &err)
+	out = make([]*tensor.Tensor, len(xs))
+	shapeRuns(xs, func(run []*tensor.Tensor, first int) {
+		batch := tensor.NewOf[E](append([]int{len(run)}, run[0].Shape()...)...)
+		bd, sz := batch.Data(), run[0].Size()
+		for i, x := range run {
+			for j, v := range x.Data() {
+				bd[i*sz+j] = E(v)
+			}
+		}
+		logits := net.ForwardBatch(batch).F64()
+		for i := range run {
+			out[first+i] = logits.Sample(i)
+		}
+	})
+	return out, nil
 }
 
-// PooledIP adapts an in-process network to concurrent validation. A
-// bare LocalIP can serve one evaluation at a time (layers cache
-// per-input state between forward and backward), so replaying a suite
-// with ValidateOptions.Concurrency > 1 against it would race; PooledIP
-// checks each query batch out onto a float64 clone — exactly how the
-// network Server evaluates — making it safe for any number of
-// concurrent callers while staying bit-identical to LocalIP.
-type PooledIP struct{ *evaluator }
-
-// NewPooledIP builds a concurrent local IP over workers clones of
-// network (workers <= 0 gets one clone).
-func NewPooledIP(network *nn.Network, workers int) *PooledIP {
-	return &PooledIP{&evaluator{clones: nn.NewClonePool(network, workers)}}
-}
-
-// PooledF32IP is PooledIP on the float32 inference path: queries are
-// quantised to float32, evaluated on a float32 clone, and the outputs
-// widened back — the in-process equivalent of a v3 session against an
-// -f32 server. Outputs approximate the float64 reference to rounding
-// error, so suite replay against it must use ValidateOptions.Tolerance.
-type PooledF32IP struct{ *evaluator }
-
-// NewPooledF32IP builds a concurrent float32 local IP over workers
-// clones converted from network (workers <= 0 gets one clone).
-func NewPooledF32IP(network *nn.Network, workers int) *PooledF32IP {
-	return &PooledF32IP{&evaluator{clones32: nn.NewClonePoolF32(network, workers)}}
-}
-
-// evalOn runs the queries on the net, each run of consecutive
-// same-shaped inputs as one batched forward pass, whose logits rows are
-// bit-identical to batches of one. A panic from a malformed input shape
-// comes back as an error, leaving the network usable; batch caches are
-// released even then — a mid-stack shape panic happens after earlier
-// layers already cached batch state, which must not ride back into a
-// clone pool pinning heap.
+// evalOn runs the queries on the live network of a LocalIP, each run of
+// consecutive same-shaped inputs as one batched forward pass, whose
+// logits rows are bit-identical to batches of one. A panic from a
+// malformed input shape comes back as an error, leaving the network
+// usable; batch caches are released even then — a mid-stack shape
+// panic happens after earlier layers already cached batch state, which
+// must not stay pinning heap.
 func evalOn(net *nn.Network, xs []*tensor.Tensor) (out []*tensor.Tensor, err error) {
 	defer net.ReleaseBatchState()
 	defer recoverQuery(&out, &err)

@@ -32,17 +32,16 @@ import (
 // server reports the missing preamble. After the handshake the stream
 // is a sequence of gob-encoded batched requests and responses matched
 // by ID: the client may pipeline any number of requests before reading,
-// and the server may answer them out of order (each request is
-// evaluated on a network clone checked out of a pool, so handlers run
-// concurrently).
+// and the server may answer them out of order (handlers evaluate
+// concurrently on one shared snapshot of the served network).
 //
 // Every dialect is a codec around one evaluator (evaluator.go): a
 // session decodes a request, asks the evaluator for a precision, and
 // encodes the outputs. The precision rule: v2 evaluates in float64
-// always; v3 in float32 when the server hosts the float32 fleet
+// always; v3 in float32 when the server hosts a float32 snapshot
 // (ServerOptions.Wire WireF32); v4/v5 in float32 when the frame's F32
-// flag is set and the fleet exists. Everything else runs on the
-// bit-exact float64 clones.
+// flag is set and the snapshot exists. Everything else runs on the
+// bit-exact float64 snapshot.
 //
 // Protocol v3 carries float32 tensors in both directions — half the
 // replay bandwidth of the v2 float64 frames, and the wire form of the
@@ -166,20 +165,21 @@ func fromWire32(w wireTensor32) (*tensor.Tensor, error) {
 
 // ServerOptions configures a served IP endpoint.
 type ServerOptions struct {
-	// Workers is the number of network clones the server evaluates
-	// queries on — the bound on concurrently served requests. Values
-	// <= 0 use the whole machine (parallel.Auto).
+	// Workers bounds how many requests the server evaluates at once;
+	// every evaluation shares the one snapshot of the served network,
+	// so it sizes no copies. Values <= 0 use the whole machine
+	// (parallel.Auto).
 	Workers int
 	// Wire provisions the server for a wire dialect. WireF32 hosts a
-	// float32 inference fleet (Workers clones converted from the served
-	// network) in addition to the float64 clones: protocol-v3 sessions,
-	// and v4/v5 frames flagged F32, are then evaluated in float32 on
-	// it, halving kernel memory traffic. Without it those evaluate on
-	// the float64 clones and only the frames are float32. The other
-	// dialects need no provisioning — v2 always evaluates on the
-	// bit-exact float64 clones — so WireAuto, WireGob and WireQuant
-	// configure nothing extra here; the dialect actually spoken is
-	// negotiated per connection, capped by MaxVersion.
+	// float32 snapshot of the served network next to the float64 one:
+	// protocol-v3 sessions, and v4/v5 frames flagged F32, are then
+	// evaluated in float32 on it, halving kernel memory traffic.
+	// Without it those evaluate on the float64 snapshot and only the
+	// frames are float32. The other dialects need no provisioning — v2
+	// always evaluates on the bit-exact float64 snapshot — so WireAuto,
+	// WireGob and WireQuant configure nothing extra here; the dialect
+	// actually spoken is negotiated per connection, capped by
+	// MaxVersion.
 	Wire Wire
 	// MaxVersion caps the wire protocol version this server negotiates
 	// (0 means the build's highest). An interop/rollback knob: a fleet
@@ -209,11 +209,11 @@ type ServerOptions struct {
 	StoreBytes  int
 	// CoalesceWindow, when positive, gathers same-shape single-query
 	// requests from different connections for up to this long into one
-	// batched forward pass on the clone pool — the fleet-throughput
-	// path for many small clients. Per-sample bit-identity of the
-	// batched engine makes this invisible: verdicts are identical with
-	// coalescing on or off, on every dialect. 0 (the default) serves
-	// each connection's requests on their own.
+	// batched forward pass — the fleet-throughput path for many small
+	// clients. Per-sample bit-identity of the batched engine makes this
+	// invisible: verdicts are identical with coalescing on or off, on
+	// every dialect. 0 (the default) serves each connection's requests
+	// on their own.
 	CoalesceWindow time.Duration
 	// CoalesceBatch caps how many queries one coalesced batch gathers
 	// before flushing early (0 ⇒ 32). The window is the latency bound,
@@ -222,11 +222,11 @@ type ServerOptions struct {
 }
 
 // Server hosts a network as a black-box IP endpoint. Requests are
-// evaluated concurrently on a pool of clones of the served network
-// (the clones snapshot the parameters at Serve time; SyncParamsFrom
-// hot-updates them), so no global forward mutex serialises queries.
+// evaluated concurrently on one snapshot of the served network, frozen
+// at Serve time and swapped whole by SyncParamsFrom, so no global
+// forward mutex serialises queries.
 type Server struct {
-	eval       *evaluator // the clone fleets and coalescer every session evaluates on
+	eval       *evaluator // the snapshot and coalescer every session evaluates on
 	listener   net.Listener
 	maxVersion byte
 
@@ -248,8 +248,8 @@ func Serve(l net.Listener, network *nn.Network) *Server {
 	return ServeWith(l, network, ServerOptions{})
 }
 
-// ServeWith starts serving IP queries on l, evaluating on
-// opts.Workers clones of network.
+// ServeWith starts serving IP queries on l, evaluating at most
+// opts.Workers requests at once on a snapshot of network.
 func ServeWith(l net.Listener, network *nn.Network, opts ServerOptions) *Server {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -272,7 +272,7 @@ func ServeWith(l net.Listener, network *nn.Network, opts ServerOptions) *Server 
 	}
 	cacheFrames, cacheBytes := cacheBoundsOrDefault(opts.CacheFrames, opts.CacheBytes)
 	s := &Server{
-		eval:        &evaluator{clones: nn.NewClonePool(network, workers)},
+		eval:        newEvaluator(network, opts.Wire == WireF32, workers),
 		listener:    l,
 		maxVersion:  maxV,
 		store:       store,
@@ -280,9 +280,6 @@ func ServeWith(l net.Listener, network *nn.Network, opts ServerOptions) *Server 
 		cacheBytes:  cacheBytes,
 		closed:      make(chan struct{}),
 		conns:       make(map[net.Conn]struct{}),
-	}
-	if opts.Wire == WireF32 {
-		s.eval.clones32 = nn.NewClonePoolF32(network, workers)
 	}
 	if opts.CoalesceWindow > 0 {
 		s.eval.coalesce(opts.CoalesceWindow, opts.CoalesceBatch)
@@ -300,11 +297,13 @@ func (s *Server) FrameStore() *FrameStore { return s.store }
 // Addr returns the listener address.
 func (s *Server) Addr() string { return s.listener.Addr().String() }
 
-// SyncParamsFrom refreshes the served parameters from src (which must
-// share the served network's architecture) — a hot model update. It
-// blocks until in-flight evaluations finish; no query ever sees a
-// half-updated parameter set. A hosted float32 fleet is re-quantised
-// from the same master.
+// SyncParamsFrom serves src's parameters from now on — a hot model
+// update. src must share the served network's architecture: a
+// parameter registry that differs from the served one panics as
+// Network.SyncParamsFrom does, before anything changes. Otherwise src
+// is frozen at every hosted precision and swapped in whole. It waits
+// for no query: evaluations already running finish on the old
+// parameters, and none ever sees a half-updated set.
 func (s *Server) SyncParamsFrom(src *nn.Network) { s.eval.SyncParamsFrom(src) }
 
 // Close stops accepting, drains in-flight requests (every request
@@ -398,9 +397,9 @@ const handshakeTimeout = 10 * time.Second
 
 // serverWriteTimeout bounds each response (and handshake) write. A
 // client that stops reading fills the kernel send buffer; without this
-// bound its handler would block in Encode forever, pin a clone, and
-// hang Close's drain. With it, drain completes within one write
-// timeout even against a dead-reader client.
+// bound its handler would block in Encode forever, hold an evaluation
+// slot, and hang Close's drain. With it, drain completes within one
+// write timeout even against a dead-reader client.
 const serverWriteTimeout = 30 * time.Second
 
 // Lingering-close bounds. A connection the server answers without
@@ -485,16 +484,16 @@ func (s *Server) handle(conn net.Conn) {
 		// so the configured v5 bounds do not apply here.
 		v4cache = newFrameCacheV4(0, 0)
 	}
-	// Coalesced requests skip the clone checkout; this semaphore keeps
+	// Coalesced requests take no evaluation slot; this semaphore keeps
 	// their per-connection inflight and queued-response memory bounded
-	// at the pool size, exactly as the checkout does for the rest.
-	coalSem := make(chan struct{}, s.eval.clones.Size())
+	// at the slot count, exactly as the slots do for the rest.
+	coalSem := make(chan struct{}, cap(s.eval.slots))
 	defer inflight.Wait() // drain: every accepted request is answered before conn.Close
 	for {
 		// Decode the version-appropriate request, then claim its
 		// evaluation *before* spawning the handler — holding the claim
 		// until the response is written caps the per-connection
-		// concurrency AND the queued-response memory at the pool size,
+		// concurrency AND the queued-response memory at the slot count,
 		// backpressuring both a flooding client and a non-reading one
 		// instead of buffering for them.
 		var work func() any           // builds the response
@@ -582,8 +581,8 @@ func answerV2(run evalFunc, req requestV2) responseV2 {
 }
 
 // answerV3 evaluates one batched v3 request: float32 frames both ways,
-// widened at the evaluator boundary (exactly, so the float32 fleet sees
-// the wire's values and answers its own).
+// widened at the evaluator boundary (exactly, so the float32 snapshot
+// sees the wire's values and answers its own).
 func answerV3(run evalFunc, req requestV3) responseV3 {
 	resp := responseV3{ID: req.ID}
 	outs, err := evalWire(run, req.Inputs, fromWire32)
@@ -642,15 +641,15 @@ type DialOptions struct {
 	//     frames, the dialect built for QuantizedOutputs suites
 	//     (inputs still travel as exact float64 bits, so evaluation is
 	//     untouched). Combined with F32 the session evaluates on the
-	//     server's float32 fleet when it has one; otherwise the
-	//     float64 clones answer and the v4 verdicts equal the
+	//     server's float32 snapshot when it has one; otherwise the
+	//     float64 snapshot answers and the v4 verdicts equal the
 	//     bit-exact path's QuantizedOutputs verdicts. Dialing a pre-v4
 	//     server with WireQuant fails with a descriptive version
 	//     error.
 	//   - WireAuto (the zero value) — WireGob.
 	Wire Wire
 	// F32, on a WireQuant session, asks for evaluation on the server's
-	// float32 fleet (when it has one) while the frames stay quantised.
+	// float32 snapshot (when it has one) while the frames stay quantised.
 	// Other dialects ignore it: WireF32 already means float32.
 	F32 bool
 	// Decimals is the fixed-point precision plain Query/QueryBatch

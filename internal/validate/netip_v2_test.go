@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -523,6 +524,56 @@ func TestServerHotParamSync(t *testing.T) {
 	}
 	if same {
 		t.Fatal("hot parameter sync did not change the served outputs")
+	}
+}
+
+// TestServerSyncMismatchKeepsServing: a hot sync from a network with
+// another parameter registry panics with Network.SyncParamsFrom's
+// message before anything changes. Afterwards the server still answers
+// with the old parameters, and it still closes.
+func TestServerSyncMismatchKeepsServing(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeWith(l, goldenNet(), ServerOptions{Workers: 2})
+	ip, err := DialWith(srv.Addr(), DialOptions{ReadTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ip.Close()
+
+	bad := nn.NewNetwork(nn.NewDense("fc", 100, 10))
+	panicOf := func(sync func(*nn.Network)) (msg any) {
+		defer func() { msg = recover() }()
+		sync(bad)
+		return nil
+	}
+	want := panicOf(goldenNet().Clone().SyncParamsFrom)
+	if got := panicOf(srv.SyncParamsFrom); got == nil || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("mismatched sync panicked with %v, want %v", got, want)
+	}
+
+	x := testInputs(1, 83)[0]
+	got, err := ip.Query(x)
+	if err != nil {
+		t.Fatalf("query after a mismatched sync: %v", err)
+	}
+	for j, w := range goldenNet().Forward(x).Data() {
+		if got.Data()[j] != w {
+			t.Fatalf("output %d after a mismatched sync = %v, want the old parameters' %v", j, got.Data()[j], w)
+		}
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hangs after a mismatched sync")
 	}
 }
 

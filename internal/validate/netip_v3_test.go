@@ -292,7 +292,7 @@ func TestV3SyncParamsRequantisesFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := updated.ConvertF32().Forward(x[0].F32()).F64()
+	want := nn.Freeze[float32](updated).Forward(x[0].F32()).F64()
 	same := true
 	for j := range before[0].Data() {
 		if after[0].Data()[j] != before[0].Data()[j] {
@@ -309,9 +309,97 @@ func TestV3SyncParamsRequantisesFleet(t *testing.T) {
 	}
 }
 
-// TestPooledF32IPMatchesRemote: the in-process float32 pooled IP is the
-// same computation as a v3 session on an f32 fleet — identical float32
-// kernel sequence, so identical widened outputs.
+// TestServerSyncUnderConcurrentQueries: goroutines query an -f32
+// server's float64 (v2) and float32 (v3) sessions while SyncParamsFrom
+// swaps the parameters. Every answer carries, at its precision, the
+// bits of the old parameters or of the new ones, never a mix; once the
+// sync has returned, every answer carries the new ones. Under -race
+// this is the hot-sync isolation test.
+func TestServerSyncUnderConcurrentQueries(t *testing.T) {
+	srv, addr := startServerF32(t)
+	x := testInputs(1, 19)
+	old, updated := goldenNet(), goldenNet().Clone()
+	updated.SetParamAt(0, updated.ParamAt(0)+3)
+	f32Out := func(net *nn.Network) *tensor.Tensor { return nn.Freeze[float32](net).Forward(x[0].F32()).F64() }
+	sessions := []struct {
+		name     string
+		wire     Wire
+		old, new *tensor.Tensor
+	}{
+		{"v2 float64", WireGob, old.Forward(x[0]), updated.Forward(x[0])},
+		{"v3 float32", WireF32, f32Out(old), f32Out(updated)},
+	}
+	same := func(got, want *tensor.Tensor) bool {
+		for j, w := range want.Data() {
+			if math.Float64bits(got.Data()[j]) != math.Float64bits(w) {
+				return false
+			}
+		}
+		return true
+	}
+	query := func(wire Wire) (*tensor.Tensor, error) {
+		ip, err := DialWith(addr, DialOptions{Wire: wire})
+		if err != nil {
+			return nil, err
+		}
+		defer ip.Close()
+		return ip.Query(x[0])
+	}
+
+	const queriers, queries = 2, 30
+	var wg, warm sync.WaitGroup
+	errs := make(chan error, len(sessions)*queriers)
+	for _, s := range sessions {
+		for g := 0; g < queriers; g++ {
+			ip, err := DialWith(addr, DialOptions{Wire: s.wire})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ip.Close()
+			wg.Add(1)
+			warm.Add(1)
+			go func() {
+				defer wg.Done()
+				for q := 0; q < queries; q++ {
+					if q == 5 {
+						warm.Done()
+					}
+					got, err := ip.QueryBatch(x)
+					if err == nil && !same(got[0], s.old) && !same(got[0], s.new) {
+						err = fmt.Errorf("%s query %d served neither the old nor the new parameters", s.name, q)
+					}
+					if err != nil {
+						errs <- err
+						if q < 5 {
+							warm.Done()
+						}
+						return
+					}
+				}
+			}()
+		}
+	}
+	warm.Wait()
+	srv.SyncParamsFrom(updated)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for _, s := range sessions {
+		got, err := query(s.wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(got, s.new) {
+			t.Fatalf("%s session served stale parameters after SyncParamsFrom", s.name)
+		}
+	}
+}
+
+// TestPooledF32IPMatchesRemote: the in-process float32 SnapshotIP is
+// the same computation as a v3 session on an -f32 server — identical
+// float32 kernel sequence, so identical widened outputs.
 func TestPooledF32IPMatchesRemote(t *testing.T) {
 	_, addr := startServerF32(t)
 	remote, err := DialWith(addr, DialOptions{Wire: WireF32})
@@ -319,7 +407,7 @@ func TestPooledF32IPMatchesRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	local := NewPooledF32IP(goldenNet(), 2)
+	local := NewSnapshotIP(goldenNet(), true)
 
 	xs := testInputs(4, 23)
 	got, err := remote.QueryBatch(xs)
@@ -400,7 +488,7 @@ func (ip nudgedIP) Query(x *tensor.Tensor) (*tensor.Tensor, error) {
 // back for the float32 kernels, and the outputs widened again — which
 // must lose nothing. A v3 session against a float32-fleet server, with
 // coalescing on and off, answers NaN, ±Inf, −0 and subnormal float32
-// inputs bit for bit as Network.ConvertF32().Forward does locally: on
+// inputs bit for bit as nn.Freeze[float32] does locally: on
 // the golden network, and on a pass-through network whose outputs are
 // its inputs, so every special value must come back with its own bits.
 func TestV3F32FleetSpecialValuesBitExact(t *testing.T) {
@@ -433,7 +521,7 @@ func TestV3F32FleetSpecialValuesBitExact(t *testing.T) {
 		{"passthrough", func() *nn.Network { return nn.NewNetwork(nn.NewFlatten("flat")) }},
 	}
 	for _, tc := range nets {
-		ref := tc.net().ConvertF32()
+		ref := nn.Freeze[float32](tc.net())
 		want := make([]*tensor.T32, len(xs))
 		for i, x := range xs {
 			want[i] = ref.Forward(x.F32()).Clone()

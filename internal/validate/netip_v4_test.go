@@ -163,7 +163,7 @@ func TestV4F32FleetMatchesLocalF32Quantized(t *testing.T) {
 		for _, decimals := range []int{2, 6} {
 			s := *suite
 			s.Decimals = decimals
-			want, err := s.ValidateWith(NewPooledF32IP(target, 1), ValidateOptions{})
+			want, err := s.ValidateWith(NewSnapshotIP(target, true), ValidateOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +273,7 @@ func TestV4ReplayEquivalenceGrid(t *testing.T) {
 		// evaluation path the fleet serves.
 		var refIP IP = LocalIP{Net: target}
 		if f32 {
-			refIP = NewPooledF32IP(target, 1)
+			refIP = NewSnapshotIP(target, true)
 		}
 		want, err := suite.ValidateWith(refIP, ValidateOptions{})
 		if err != nil {

@@ -20,7 +20,7 @@ func TestReplayWrappersBitIdentical(t *testing.T) {
 
 	check := func(t *testing.T, label string) {
 		t.Helper()
-		ip := NewPooledIP(net, 4)
+		ip := NewSnapshotIP(net, false)
 		want, err := suite.Validate(LocalIP{Net: net})
 		if err != nil {
 			t.Fatal(err)
@@ -103,7 +103,7 @@ func TestReplayEarlyExitReport(t *testing.T) {
 		t.Skip("attack not detected by this suite; nothing to early-exit on")
 	}
 	for _, batch := range []int{0, 2, 5} {
-		rep, err := suite.Replay(NewPooledIP(net, 2), ReplayConfig{Batch: batch, EarlyExit: true})
+		rep, err := suite.Replay(NewSnapshotIP(net, false), ReplayConfig{Batch: batch, EarlyExit: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,7 @@ func TestValidateWithMatchesSerialLocal(t *testing.T) {
 		for _, opts := range replayGrid {
 			var ip IP = LocalIP{Net: target}
 			if opts.Concurrency > 1 {
-				ip = NewPooledIP(target, opts.Concurrency)
+				ip = NewSnapshotIP(target, false)
 			}
 			got, err := suite.ValidateWith(ip, opts)
 			if err != nil {
@@ -173,12 +173,13 @@ func TestValidateWithEmptySuite(t *testing.T) {
 	}
 }
 
-// TestPooledIPMatchesLocalIP: PooledIP must answer bit-identically to
-// LocalIP, batched or not.
+// TestPooledIPMatchesLocalIP: SnapshotIP at float64 must answer
+// bit-identically to LocalIP, batched or not: the frozen snapshot and
+// the live network run the same forward walk.
 func TestPooledIPMatchesLocalIP(t *testing.T) {
 	xs := testInputs(5, 101)
 	local := LocalIP{Net: goldenNet()}
-	pooled := NewPooledIP(goldenNet(), 2)
+	pooled := NewSnapshotIP(goldenNet(), false)
 	wantB, err := local.QueryBatch(xs)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +198,7 @@ func TestPooledIPMatchesLocalIP(t *testing.T) {
 				t.Fatalf("LocalIP batched output %d differs from its single query at %d", i, j)
 			}
 			if gotB[i].Data()[j] != want.Data()[j] {
-				t.Fatalf("PooledIP output %d differs from LocalIP at %d", i, j)
+				t.Fatalf("SnapshotIP output %d differs from LocalIP at %d", i, j)
 			}
 		}
 	}

@@ -74,7 +74,7 @@ func (ip LocalIP) Query(x *tensor.Tensor) (*tensor.Tensor, error) {
 
 // QueryBatch implements BatchIP. Same-shaped inputs run as one batched
 // forward pass, whose per-sample logits are bit-identical to individual
-// Query calls (evalOn, shared with the server and PooledIP).
+// Query calls (evalOn).
 func (ip LocalIP) QueryBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if len(xs) == 0 {
 		return nil, &QueryError{Msg: "validate: empty query batch"}
@@ -263,8 +263,8 @@ type ValidateOptions struct {
 	// in parallel; values <= 1 replay serially. Against a RemoteIP the
 	// workers pipeline over one connection; against a ShardedIP they
 	// spread across the replicas. The IP must be safe for concurrent
-	// use when Concurrency > 1 — RemoteIP, ShardedIP and PooledIP are,
-	// a bare LocalIP (one set of layer caches) is not.
+	// use when Concurrency > 1 — RemoteIP, ShardedIP and SnapshotIP
+	// are, a bare LocalIP (one set of layer caches) is not.
 	Concurrency int
 	// Tolerance relaxes the output comparison for reduced-precision
 	// replay: with Tolerance > 0 an output value matches its reference

@@ -97,8 +97,9 @@ type frameV4 struct {
 	RefN []int
 	// Decimals is the fixed-point precision of the response frames.
 	Decimals uint8
-	// F32 asks for evaluation on the server's float32 fleet when it has
-	// one (the v3 semantics); without one the float64 clones answer.
+	// F32 asks for evaluation on the server's float32 snapshot when it
+	// has one (the v3 semantics); without one the float64 snapshot
+	// answers.
 	F32 bool
 }
 
@@ -401,11 +402,11 @@ func (s *Server) resolveV4(version byte, cache *frameCacheV4, req requestV4) (*s
 
 // answerV4 evaluates one v4/v5 request's resolved frame and quantises
 // each output at the frame's precision, delta-encoded against its
-// reference frame (or the previous output). On the float64 clones the
-// outputs are exactly the QuantizedOutputs view of a v2 replay; on the
-// float32 fleet each value was widened exactly from float32 — the same
-// computation a local QuantizedOutputs replay of the float32 path
-// performs.
+// reference frame (or the previous output). On the float64 snapshot
+// the outputs are exactly the QuantizedOutputs view of a v2 replay; on
+// the float32 snapshot each value was widened exactly from float32 —
+// the same computation a local QuantizedOutputs replay of the float32
+// path performs.
 func answerV4(run evalFunc, sf *storedFrameV4, id uint64) responseV4 {
 	resp := responseV4{ID: id}
 	outs, err := run(sf.inputs)

@@ -297,8 +297,8 @@ func AttackQuantEvade(net *Network, probes []*Tensor, decimals int, seed int64) 
 var SetKernelParallelism = tensor.SetParallelism
 
 // Serve hosts the network as a black-box IP on the listener,
-// evaluating queries concurrently on a pool of clones; see
-// validate.Serve. ServeWith bounds the clone pool.
+// evaluating queries concurrently on one frozen snapshot of it; see
+// validate.Serve. ServeWith bounds how many run at once.
 var (
 	Serve     = validate.Serve
 	ServeWith = validate.ServeWith
