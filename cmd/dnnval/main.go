@@ -41,7 +41,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -136,7 +135,7 @@ func modelDataset(network *nn.Network, kind string, n, size int, seed int64) (*d
 	if err != nil {
 		return nil, err
 	}
-	if shape := []int{ds.C, ds.H, ds.W}; !takes(network, shape) {
+	if shape := []int{ds.C, ds.H, ds.W}; !network.Takes(shape) {
 		return nil, fmt.Errorf("-data %s -size %d gives inputs %v, but the model takes %v", kind, size, shape, network.InputShape())
 	}
 	return ds, nil
@@ -146,26 +145,11 @@ func modelDataset(network *nn.Network, kind string, n, size int, seed int64) (*d
 // input of suite.
 func checkSuite(network *nn.Network, suite *validate.Suite, path string) error {
 	for _, x := range suite.Inputs {
-		if !takes(network, x.Shape()) {
+		if !network.Takes(x.Shape()) {
 			return fmt.Errorf("-suite %s holds inputs %v, but the model takes %v", path, x.Shape(), network.InputShape())
 		}
 	}
 	return nil
-}
-
-// takes reports whether network accepts one input of the given shape:
-// its input shape exactly, or the input size alone when its first
-// layer with a geometry is dense.
-func takes(network *nn.Network, shape []int) bool {
-	want := network.InputShape()
-	if len(want) == 1 {
-		size := 1
-		for _, d := range shape {
-			size *= d
-		}
-		return size == want[0]
-	}
-	return want == nil || slices.Equal(want, shape)
 }
 
 // dataset builds the named procedural dataset sized for the model kind.

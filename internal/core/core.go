@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/coverage"
@@ -146,6 +147,32 @@ func (o Options) validate() error {
 	return nil
 }
 
+// checkPool returns an error unless train has samples, each of its
+// declared shape [C,H,W], and net takes that shape.
+func checkPool(net *nn.Network, train *data.Dataset) error {
+	if train.Len() == 0 {
+		return fmt.Errorf("core: empty training set")
+	}
+	shape := []int{train.C, train.H, train.W}
+	if err := checkShape(net, shape); err != nil {
+		return err
+	}
+	for i, s := range train.Samples {
+		if !slices.Equal(s.X.Shape(), shape) {
+			return fmt.Errorf("core: sample %d has shape %v, but its dataset declares %v", i, s.X.Shape(), shape)
+		}
+	}
+	return nil
+}
+
+// checkShape returns an error unless net takes inputs of shape.
+func checkShape(net *nn.Network, shape []int) error {
+	if !net.Takes(shape) {
+		return fmt.Errorf("core: inputs have shape %v, but the network takes %v", shape, net.InputShape())
+	}
+	return nil
+}
+
 // Result is a generated validation set with its coverage history.
 type Result struct {
 	// Tests are the generated inputs in selection order.
@@ -191,8 +218,8 @@ func SelectFromTraining(net *nn.Network, train *data.Dataset, opts Options) (*Re
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if train.Len() == 0 {
-		return nil, fmt.Errorf("core: empty training set")
+	if err := checkPool(net, train); err != nil {
+		return nil, err
 	}
 	rt := newGenRuntime(net, opts)
 	defer rt.close()
@@ -271,6 +298,17 @@ func synthInit(inShape []int, opts Options, rng *rand.Rand) *tensor.Tensor {
 		x.Clamp(0, 1)
 	}
 	return x
+}
+
+// synthStarts draws one round's n starting inputs, input c targeting
+// class c, serially in class order: the identical rng stream to
+// synthesising class by class.
+func synthStarts(inShape []int, n int, opts Options, rng *rand.Rand) []*tensor.Tensor {
+	xs := make([]*tensor.Tensor, n)
+	for c := range xs {
+		xs[c] = synthInit(inShape, opts, rng)
+	}
+	return xs
 }
 
 // synthStepsBatch runs the T gradient steps of Algorithm 2 on a stack
@@ -356,6 +394,9 @@ func SynthesisFrom(net *nn.Network, inShape []int, classes int, opts Options, st
 	if classes <= 0 {
 		return nil, fmt.Errorf("core: classes must be positive, got %d", classes)
 	}
+	if err := checkShape(net, inShape); err != nil {
+		return nil, err
+	}
 	rt := newGenRuntime(net, opts)
 	defer rt.close()
 	return rt.synthesisFrom(inShape, classes, opts, start), nil
@@ -390,7 +431,8 @@ func (rt *genRuntime) synthesisFrom(inShape []int, classes int, opts Options, st
 		// the full-network activation extraction both fan out across the
 		// worker pool, and the accumulator merge stays in class order.
 		take := min(classes, opts.MaxTests-len(res.Tests))
-		xs := rt.synthesize(residual, inShape, take, roundOpts, rng)
+		xs := synthStarts(inShape, take, roundOpts, rng)
+		rt.synthesize(residual, xs, roundOpts)
 		sets := rt.paramSetsOf(xs)
 		roundGain := 0
 		for c := 0; c < take; c++ {
@@ -407,15 +449,22 @@ func (rt *genRuntime) synthesisFrom(inShape []int, classes int, opts Options, st
 // per test is beaten by Algorithm 2's expected gain per test (probed on
 // the current residual network), then Algorithm 2 for the rest of the
 // budget. The probe batch is reused as the first synthetic round on
-// switching, so no synthesis work is wasted at the switch point.
+// switching, so no synthesis work is wasted at the switch point. A
+// probe runs only where it could win: a greedy pick whose gain reaches
+// the most a probe could add per test (the uncovered parameter count
+// over the class count) is taken without one, and the result is the
+// one probing before every pick gives.
 func Combined(net *nn.Network, train *data.Dataset, opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if train.Len() == 0 {
-		return nil, fmt.Errorf("core: empty training set")
+	if err := checkPool(net, train); err != nil {
+		return nil, err
 	}
 	classes := train.Classes
+	if classes <= 0 {
+		return nil, fmt.Errorf("core: classes must be positive, got %d", classes)
+	}
 	inShape := []int{train.C, train.H, train.W}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
@@ -426,16 +475,40 @@ func Combined(net *nn.Network, train *data.Dataset, opts Options) (*Result, erro
 	used := make([]bool, train.Len())
 	scan := newGreedyScanner(sets, acc, rt.workers())
 	res := &Result{SwitchPoint: -1}
+	pick := func(i int) {
+		used[i] = true
+		acc.Add(sets[i])
+		res.add(train.Samples[i].X, train.Samples[i].Label, FromTraining, acc.Coverage())
+	}
 
 	for len(res.Tests) < opts.MaxTests {
 		best, bestGain := scan.next(acc, used)
 
 		// Probe Algorithm 2 on the current residual network to estimate
 		// its marginal coverage per test (§IV-D's switch criterion). The
-		// per-class synthesis and activation extraction fan out; the
+		// probe's starting inputs are drawn even when the probe is
+		// skipped, so every later round sees the rng stream it would see
+		// if every probe ran.
+		xs := synthStarts(inShape, classes, opts, rng)
+
+		// A probe input newly covers only parameters not yet covered, so
+		// probeGain <= uncovered. Both counts are exact in float64, and
+		// float64 division rounds monotonically, so gainPerSynthetic <=
+		// float64(uncovered)/float64(classes). A pick whose gain reaches
+		// that bound wins the comparison below whatever the probe finds,
+		// and is taken without probing: the upper-bound pruning of
+		// accelerated greedy (Minoux, 1978), which greedyScanner applies
+		// to Algorithm 1's own candidates.
+		uncovered := net.NumParams() - acc.Covered()
+		if best >= 0 && float64(bestGain) >= float64(uncovered)/float64(classes) {
+			pick(best)
+			continue
+		}
+
+		// The per-class synthesis and activation extraction fan out; the
 		// probe accumulator merges in class order, as serially.
 		residual := residualNet(net, acc.Set())
-		xs := rt.synthesize(residual, inShape, classes, opts, rng)
+		rt.synthesize(residual, xs, opts)
 		probeSets := rt.paramSetsOf(xs)
 		probeAcc := acc.Clone()
 		probeGain := 0
@@ -445,9 +518,7 @@ func Combined(net *nn.Network, train *data.Dataset, opts Options) (*Result, erro
 		gainPerSynthetic := float64(probeGain) / float64(classes)
 
 		if best >= 0 && float64(bestGain) >= gainPerSynthetic {
-			used[best] = true
-			acc.Add(sets[best])
-			res.add(train.Samples[best].X, train.Samples[best].Label, FromTraining, acc.Coverage())
+			pick(best)
 			continue
 		}
 
@@ -481,8 +552,8 @@ func RandomSelect(net *nn.Network, train *data.Dataset, opts Options) (*Result, 
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if train.Len() == 0 {
-		return nil, fmt.Errorf("core: empty training set")
+	if err := checkPool(net, train); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	perm := rng.Perm(train.Len())

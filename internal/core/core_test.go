@@ -48,6 +48,48 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestGeneratorsRejectShapeMismatch: every generator answers a pool or
+// synthesis shape the network does not take with an error, before any
+// worker runs: a layer's shape panic inside a worker goroutine would
+// end the process, past any recover of the caller's.
+func TestGeneratorsRejectShapeMismatch(t *testing.T) {
+	net := trainedDigitsNet() // takes [1 12 12]
+	pool := data.Objects(8, 20, 20, 1)
+	stray := digitsTrainSet()
+	stray.Samples[3].X = tensor.New(1, 12, 13)
+	opts := DefaultOptions(4)
+	for _, c := range []struct {
+		name string
+		gen  func() (*Result, error)
+	}{
+		{"Combined", func() (*Result, error) { return Combined(net, pool, opts) }},
+		{"Combined/stray sample", func() (*Result, error) { return Combined(net, stray, opts) }},
+		{"SelectFromTraining", func() (*Result, error) { return SelectFromTraining(net, pool, opts) }},
+		{"RandomSelect", func() (*Result, error) { return RandomSelect(net, pool, opts) }},
+		{"NeuronFuzz", func() (*Result, error) {
+			return NeuronFuzz(net, pool, coverage.NeuronConfig{}, DefaultMutationConfig(), opts)
+		}},
+		{"GradientGenerate", func() (*Result, error) { return GradientGenerate(net, []int{3, 20, 20}, 10, opts) }},
+		{"SynthesisFrom", func() (*Result, error) { return SynthesisFrom(net, []int{12, 12}, 10, opts, nil) }},
+	} {
+		if _, err := c.gen(); err == nil {
+			t.Errorf("%s accepted inputs the network does not take", c.name)
+		}
+	}
+}
+
+// TestCombinedRejectsZeroClasses: a pool that declares no classes is an
+// error. Without the check, a probe's gain per synthetic test is 0/0,
+// so the switch fires and the tail synthesises zero inputs a round,
+// forever.
+func TestCombinedRejectsZeroClasses(t *testing.T) {
+	pool := data.Digits(3, 12, 12, 7)
+	pool.Classes = 0
+	if _, err := Combined(trainedDigitsNet(), pool, DefaultOptions(6)); err == nil {
+		t.Fatal("Combined accepted a pool of zero classes")
+	}
+}
+
 func TestSelectGreedyFirstPickIsBestSingle(t *testing.T) {
 	net := trainedDigitsNet()
 	ds := digitsTrainSet()
@@ -368,8 +410,8 @@ func TestResidualNetZeroesCoveredParams(t *testing.T) {
 
 // TestCombinedExtractsTailOnce counts the extraction passes of a
 // Combined run that switches to synthesis with a tail to fill: one per
-// greedy step's probe and one per tail round, so each synthetic test is
-// extracted exactly once.
+// probe that runs (those the bound leaves, and the switching probe) and
+// one per tail round, so each synthetic test is extracted exactly once.
 func TestCombinedExtractsTailOnce(t *testing.T) {
 	net := trainedDigitsNet()
 	ds := digitsTrainSet()
@@ -391,8 +433,9 @@ func TestCombinedExtractsTailOnce(t *testing.T) {
 	if res.SwitchPoint < 0 || tail <= 0 {
 		t.Fatalf("switch at %d of %d tests leaves no synthesis tail to check", res.SwitchPoint, len(res.Tests))
 	}
-	if want := res.SwitchPoint + 1 + (tail+ds.Classes-1)/ds.Classes; passes != want {
-		t.Fatalf("%d extraction passes, want %d (%d probes, then the tail's rounds)", passes, want, res.SwitchPoint+1)
+	ran, _, tailRounds := probeCounts(t, res, net.NumParams(), ds.Classes)
+	if want := ran + tailRounds; passes != want {
+		t.Fatalf("%d extraction passes, want %d (%d probes, then %d tail rounds)", passes, want, ran, tailRounds)
 	}
 	for i := res.SwitchPoint; i < len(res.Tests); i++ {
 		if n := extracted[res.Tests[i]]; n != 1 {

@@ -137,12 +137,7 @@ func synthTargets(t *testing.T) []synthTarget {
 
 // startInputs draws n starting inputs the way a synthesis round does.
 func startInputs(n int, opts Options, seed int64) []*tensor.Tensor {
-	rng := rand.New(rand.NewSource(seed))
-	xs := make([]*tensor.Tensor, n)
-	for i := range xs {
-		xs[i] = synthInit([]int{1, 12, 12}, opts, rng)
-	}
-	return xs
+	return synthStarts([]int{1, 12, 12}, n, opts, rand.New(rand.NewSource(seed)))
 }
 
 func clones(xs []*tensor.Tensor) []*tensor.Tensor {
@@ -347,7 +342,8 @@ func TestSynthesisBatchesOneClassChunks(t *testing.T) {
 		ref := DefaultOptions(1)
 		ref.Init, ref.Parallelism, ref.Batch = init, 1, 1
 		serial := newGenRuntime(net, ref)
-		want := serial.synthesize(net, inShape, classes, ref, rand.New(rand.NewSource(5)))
+		want := synthStarts(inShape, classes, ref, rand.New(rand.NewSource(5)))
+		serial.synthesize(net, want, ref)
 		serial.close()
 		for _, batch := range []int{0, 1} {
 			opts := ref
@@ -358,7 +354,8 @@ func TestSynthesisBatchesOneClassChunks(t *testing.T) {
 			for w := range rt.synth {
 				rt.synth[w], counters[w] = counted(net)
 			}
-			got := rt.synthesize(net, inShape, classes, opts, rand.New(rand.NewSource(5)))
+			got := synthStarts(inShape, classes, opts, rand.New(rand.NewSource(5)))
+			rt.synthesize(net, got, opts)
 			rt.close()
 			for c := range want {
 				requireSameBits(t, fmt.Sprintf("init %d batch %d class %d", init, batch, c), got[c], want[c])

@@ -73,8 +73,8 @@ func NeuronFuzz(net *nn.Network, train *data.Dataset, ncfg coverage.NeuronConfig
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if train.Len() == 0 {
-		return nil, fmt.Errorf("core: empty training set")
+	if err := checkPool(net, train); err != nil {
+		return nil, err
 	}
 	if mc.PerSeed <= 0 {
 		return nil, fmt.Errorf("core: PerSeed must be positive, got %d", mc.PerSeed)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 
 	"repro/internal/bitset"
@@ -115,22 +114,18 @@ func inputHash(x *tensor.Tensor) uint64 {
 }
 
 // synthesize runs one per-class synthesis round against target (a
-// residual network): one input per class c in [0,classes). opts is
+// residual network) from the starting inputs xs (synthStarts), xs[c]
+// targeting class c, and writes the results back into xs. opts is
 // passed explicitly because rounds may vary the Init mode (Gaussian
 // restarts after a dry round) without touching the runtime's own
-// options. The rng draws happen serially in class order — the
-// identical stream to synthesising class by class — before the
-// workers split the classes into contiguous chunks, each on its own
-// pinned clone of target; so the inputs are bit-identical at any
-// worker count and batch size.
-func (rt *genRuntime) synthesize(target *nn.Network, inShape []int, classes int, opts Options, rng *rand.Rand) []*tensor.Tensor {
-	xs := make([]*tensor.Tensor, classes)
-	for c := range xs {
-		xs[c] = synthInit(inShape, opts, rng)
-	}
+// options. The workers split the classes into contiguous chunks, each
+// on its own pinned clone of target; so the inputs are bit-identical
+// at any worker count and batch size.
+func (rt *genRuntime) synthesize(target *nn.Network, xs []*tensor.Tensor, opts Options) {
+	classes := len(xs)
 	if parallel.Effective(classes, rt.pool.Workers()) <= 1 {
 		runSynth(target, xs, 0, classes, opts)
-		return xs
+		return
 	}
 	if rt.synth == nil {
 		rt.synth = make([]*nn.Network, rt.pool.Workers())
@@ -141,5 +136,4 @@ func (rt *genRuntime) synthesize(target *nn.Network, inShape []int, classes int,
 	rt.pool.For(classes, func(w, lo, hi int) {
 		runSynth(rt.synth[w], xs, lo, hi, opts)
 	})
-	return xs
 }

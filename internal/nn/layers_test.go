@@ -222,6 +222,33 @@ func TestNetworkParamRegistry(t *testing.T) {
 	}
 }
 
+// TestNetworkTakes: a network takes its first geometry's shape exactly,
+// any shape of the right size when that geometry is dense, and anything
+// when it has none.
+func TestNetworkTakes(t *testing.T) {
+	conv := NewNetwork(NewActivate("tanh", Tanh), NewConv2D("conv", 1, 4, 4, 2, 3, 1, 1))
+	dense := NewNetwork(NewFlatten("flat"), NewDense("fc", 12, 2))
+	free := NewNetwork(NewActivate("relu", ReLU))
+	for _, c := range []struct {
+		net   *Network
+		shape []int
+		want  bool
+	}{
+		{conv, []int{1, 4, 4}, true},
+		{conv, []int{4, 4}, false},
+		{conv, []int{3, 4, 4}, false},
+		{conv, []int{16}, false},
+		{dense, []int{12}, true},
+		{dense, []int{3, 2, 2}, true},
+		{dense, []int{1, 4, 4}, false},
+		{free, []int{5, 7}, true},
+	} {
+		if got := c.net.Takes(c.shape); got != c.want {
+			t.Errorf("%v takes %v: %t, want %t", c.net.InputShape(), c.shape, got, c.want)
+		}
+	}
+}
+
 func TestNetworkParamIndexOutOfRangePanics(t *testing.T) {
 	net := NewNetwork(NewDense("fc", 2, 2))
 	for _, i := range []int{-1, 6} {

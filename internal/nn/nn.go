@@ -21,6 +21,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -178,6 +179,21 @@ func (n *Network) InputShape() []int {
 		}
 	}
 	return nil
+}
+
+// Takes reports whether the network accepts one input of the given
+// shape: its input shape exactly, or the input size alone when its
+// first layer with a geometry is dense.
+func (n *Network) Takes(shape []int) bool {
+	want := n.InputShape()
+	if len(want) == 1 {
+		size := 1
+		for _, d := range shape {
+			size *= d
+		}
+		return size == want[0]
+	}
+	return want == nil || slices.Equal(want, shape)
 }
 
 // LayerOf returns the LayerStack index of the layer whose Params hold
